@@ -51,7 +51,7 @@ struct ScanFixture {
           .ok();
       // Raw catalog: everything stays JSON.
       for (size_t i = start; i < end; ++i) {
-        raw_catalog.mutable_raw()->Append(ds.records[i]);
+        raw_catalog.AppendRawBatch({ds.records[i]});
       }
     }
   }

@@ -160,7 +160,7 @@ struct RelayoutOptions {
   size_t max_cluster_predicates = 16;
 
   /// Rows per rewritten row group. Smaller groups give finer skipping at
-  /// more header overhead. 0 = keep the backfill default (4096).
+  /// more header overhead. 0 = 4096 (kDefaultRewriteRowsPerGroup).
   size_t rows_per_group = 0;
 
   /// Assumed rewrite throughput (rows/second) used to estimate the cost

@@ -28,17 +28,20 @@ struct BackfillStats {
 /// epoch *without discarding loaded data* (the incremental alternative to
 /// a cold reload):
 ///
-///  1. Every columnar segment is rewritten group-by-group with fresh
-///     annotation bitvectors for `registry`'s predicates, computed by
-///     exact typed evaluation of each clause on the decoded rows. Exact
-///     bits are a subset of the client filter's (which may hold false
-///     positives) — sound for skipping, and tighter. Segments already
+///  1. Every columnar segment is rewritten, one segment-input rewrite
+///     (storage/rewrite.h) each, with fresh annotation bitvectors for
+///     `registry`'s predicates, computed by exact typed evaluation of
+///     each clause on the decoded rows. Exact bits are a subset of the
+///     client filter's (which may hold false positives) — sound for
+///     skipping, and tighter. Rows matching >= 1 predicate and all-zero
+///     rows never share a row group (at most 4096 rows each), and the
+///     rewritten file takes the old segment's slot. Segments already
 ///     tagged `annotation_epoch` are left untouched (idempotence).
 ///  2. Sideline records matching >= 1 new predicate (evaluated with the
 ///     ClientFilter's record-major block kernel on the raw bytes) are
-///     promoted into a columnar segment with compacted annotations; the
-///     rest — plus records that fail to parse — stay in a rebuilt
-///     sideline. This restores the planner invariant "every record
+///     promoted by one sideline-input rewrite into a columnar segment
+///     with compacted annotations; the rest — plus records that fail to
+///     parse — stay in a rebuilt sideline. This restores the planner invariant "every record
 ///     satisfying a pushed-down clause is loaded" for the new epoch, so
 ///     its skipping scans may keep ignoring the sideline.
 ///

@@ -31,10 +31,6 @@ void TableCatalog::SpillForPublish(ColumnarSegment* segment) {
 
 void TableCatalog::AddSegment(ColumnarSegment segment) {
   SpillForPublish(&segment);
-  AddSegmentPrepared(std::move(segment));
-}
-
-void TableCatalog::AddSegmentPrepared(ColumnarSegment segment) {
   loaded_rows_.fetch_add(segment.num_rows, std::memory_order_relaxed);
   columnar_bytes_.fetch_add(segment.byte_size(), std::memory_order_relaxed);
   auto published =
@@ -46,41 +42,24 @@ void TableCatalog::AddSegmentPrepared(ColumnarSegment segment) {
   shard.segments.push_back(std::move(published));
 }
 
-bool TableCatalog::ReplaceSegment(const SegmentRef& old_segment,
-                                  ColumnarSegment replacement) {
-  SpillForPublish(&replacement);
-  auto fresh =
-      std::make_shared<const ColumnarSegment>(std::move(replacement));
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (SegmentRef& slot : shard.segments) {
-      if (slot.get() == old_segment.get()) {
-        columnar_bytes_.fetch_add(fresh->byte_size(),
-                                  std::memory_order_relaxed);
-        columnar_bytes_.fetch_sub(slot->byte_size(),
-                                  std::memory_order_relaxed);
-        slot = std::move(fresh);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 bool TableCatalog::ReplaceSegments(
     const std::vector<SegmentRef>& old_segments,
-    std::vector<ColumnarSegment> replacements) {
-  if (old_segments.empty()) return false;
+    std::vector<ColumnarSegment> replacements,
+    std::optional<RawStore> sideline) {
   // Spill before any lock: file I/O must never run under snapshot_mu_.
   // If the swap below loses its race the spilled files become orphans,
   // collected by the next checkpoint's GC.
   for (ColumnarSegment& replacement : replacements) {
     SpillForPublish(&replacement);
   }
+  std::shared_ptr<RawStore> fresh_raw;
+  if (sideline.has_value()) {
+    fresh_raw = std::make_shared<RawStore>(std::move(*sideline));
+  }
   std::lock_guard<std::mutex> snapshot_lock(snapshot_mu_);
   // Every shard stays locked for the whole swap so no path that reads
-  // shards directly (ReplaceSegment, num_segments) can observe a partial
-  // state either.
+  // shards directly (num_segments, segment) can observe a partial state
+  // either.
   std::vector<std::unique_lock<std::mutex>> shard_locks;
   shard_locks.reserve(shards_.size());
   for (Shard& shard : shards_) shard_locks.emplace_back(shard.mu);
@@ -102,31 +81,45 @@ bool TableCatalog::ReplaceSegments(
   }
   if (found != old_segments.size()) return false;
 
-  for (Shard& shard : shards_) {
-    auto it = std::remove_if(shard.segments.begin(), shard.segments.end(),
-                             [&](const SegmentRef& slot) {
-                               if (!is_old(slot)) return false;
-                               columnar_bytes_.fetch_sub(
-                                   slot->byte_size(),
-                                   std::memory_order_relaxed);
-                               loaded_rows_.fetch_sub(
-                                   slot->num_rows, std::memory_order_relaxed);
-                               return true;
-                             });
-    shard.segments.erase(it, shard.segments.end());
+  const auto retire = [&](const SegmentRef& slot) {
+    columnar_bytes_.fetch_sub(slot->byte_size(), std::memory_order_relaxed);
+    loaded_rows_.fetch_sub(slot->num_rows, std::memory_order_relaxed);
+  };
+  const auto publish = [&](ColumnarSegment segment) {
+    loaded_rows_.fetch_add(segment.num_rows, std::memory_order_relaxed);
+    columnar_bytes_.fetch_add(segment.byte_size(), std::memory_order_relaxed);
+    return std::make_shared<const ColumnarSegment>(std::move(segment));
+  };
+  if (old_segments.size() == 1 && replacements.size() == 1) {
+    for (Shard& shard : shards_) {
+      for (SegmentRef& slot : shard.segments) {
+        if (!is_old(slot)) continue;
+        retire(slot);
+        slot = publish(std::move(replacements.front()));
+      }
+    }
+  } else {
+    for (Shard& shard : shards_) {
+      auto it = std::remove_if(shard.segments.begin(), shard.segments.end(),
+                               [&](const SegmentRef& slot) {
+                                 if (!is_old(slot)) return false;
+                                 retire(slot);
+                                 return true;
+                               });
+      shard.segments.erase(it, shard.segments.end());
+    }
+    for (ColumnarSegment& replacement : replacements) {
+      // Round-robin placement as in AddSegment; the shard lock is already
+      // held above, so push directly.
+      Shard& shard =
+          shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
+                  shards_.size()];
+      shard.segments.push_back(publish(std::move(replacement)));
+    }
   }
-  for (ColumnarSegment& replacement : replacements) {
-    loaded_rows_.fetch_add(replacement.num_rows, std::memory_order_relaxed);
-    columnar_bytes_.fetch_add(replacement.byte_size(),
-                              std::memory_order_relaxed);
-    auto segment =
-        std::make_shared<const ColumnarSegment>(std::move(replacement));
-    // Round-robin placement as in AddSegment; the shard lock is already
-    // held above, so push directly.
-    Shard& shard =
-        shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                shards_.size()];
-    shard.segments.push_back(std::move(segment));
+  if (fresh_raw != nullptr) {
+    std::lock_guard<std::mutex> lock(raw_mu_);
+    raw_ = std::move(fresh_raw);
   }
   return true;
 }
@@ -140,7 +133,9 @@ Status TableCatalog::EnsureAllPersisted() {
     // Quiescent caller (checkpoint under the exclusive gate): the swap
     // cannot lose a race, but tolerate it anyway — a false return just
     // leaves an orphan file for GC.
-    ReplaceSegment(ref, std::move(copy));
+    std::vector<ColumnarSegment> replacement;
+    replacement.push_back(std::move(copy));
+    ReplaceSegments({ref}, std::move(replacement));
   }
   return Status::OK();
 }
@@ -168,26 +163,6 @@ CatalogSnapshot TableCatalog::Snapshot() const {
   return snapshot;
 }
 
-void TableCatalog::PublishPromotion(std::string file_bytes, uint64_t num_rows,
-                                    uint64_t annotation_epoch, RawStore kept) {
-  ColumnarSegment segment;
-  segment.file_bytes = std::move(file_bytes);
-  segment.num_rows = num_rows;
-  segment.annotation_epoch = annotation_epoch;
-  const bool publish_segment = !segment.file_bytes.empty() && num_rows > 0;
-  if (publish_segment) SpillForPublish(&segment);  // I/O before the lock
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (publish_segment) {
-    AddSegmentPrepared(std::move(segment));
-  }
-  ReplaceRaw(std::move(kept));
-}
-
-void TableCatalog::AppendRaw(std::string_view record) {
-  std::lock_guard<std::mutex> lock(raw_mu_);
-  raw_->Append(record);
-}
-
 void TableCatalog::AppendRawBatch(
     const std::vector<std::string_view>& records) {
   if (records.empty()) return;
@@ -198,12 +173,6 @@ void TableCatalog::AppendRawBatch(
 std::shared_ptr<const RawStore> TableCatalog::SnapshotRaw() const {
   std::lock_guard<std::mutex> lock(raw_mu_);
   return raw_;
-}
-
-void TableCatalog::ReplaceRaw(RawStore replacement) {
-  auto fresh = std::make_shared<RawStore>(std::move(replacement));
-  std::lock_guard<std::mutex> lock(raw_mu_);
-  raw_ = std::move(fresh);
 }
 
 uint64_t TableCatalog::raw_rows() const {

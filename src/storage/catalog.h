@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,7 +23,7 @@ class SegmentStore;
 /// mirroring Spark re-reading Parquet files per query.
 ///
 /// Immutable once published to the catalog: the adaptive runtime replaces
-/// whole segments (ReplaceSegment) instead of mutating bytes in place, so
+/// whole segments (ReplaceSegments) instead of mutating bytes in place, so
 /// in-flight scans holding a snapshot keep reading a consistent file.
 ///
 /// Residency is dual: either `file_bytes` holds the file on the heap
@@ -80,11 +81,10 @@ struct CatalogSnapshot {
 /// has its own lock, and the row counters are atomics.
 ///
 /// Two access regimes:
-///  - Quiescent accessors (`segment`, `raw`, `mutable_raw`) expect no
-///    concurrent writer — the legacy query phase after ingest workers have
-///    joined.
+///  - Quiescent accessors (`segment`, `raw`) expect no concurrent writer
+///    — the legacy query phase after ingest workers have joined.
 ///  - Snapshot accessors (`SnapshotSegments`, `SnapshotRaw`) are safe
-///    against concurrent ReplaceSegment / ReplaceRaw / AddSegment: the
+///    against concurrent ReplaceSegments / AddSegment: the
 ///    returned shared_ptrs keep the superseded objects alive, so the
 ///    adaptive runtime can backfill annotations and promote sideline
 ///    records while queries are in flight.
@@ -128,27 +128,26 @@ class TableCatalog {
   /// disk-resident — the recovery path).
   void AddSegment(ColumnarSegment segment);
 
-  /// Atomically replaces the published segment `old_segment` (matched by
-  /// identity) with `replacement`. Readers holding a snapshot of the old
-  /// segment keep it alive; new snapshots see the replacement. Row-count
-  /// bookkeeping assumes the replacement carries the same rows (an
-  /// annotation rewrite, not a data change). Returns false when the old
-  /// segment is no longer in the catalog (already replaced).
-  bool ReplaceSegment(const SegmentRef& old_segment, ColumnarSegment replacement);
-
-  /// Atomically replaces a *set* of published segments (matched by
-  /// identity) with a freshly written set — the publish step of a
-  /// cross-segment re-layout, which redistributes the same rows across
-  /// different file boundaries. All-or-nothing: when any of
-  /// `old_segments` is no longer published (a concurrent rewrite won the
-  /// race), nothing is touched and false is returned. The snapshot lock
-  /// is held for the whole swap, so a concurrent SnapshotSegments sees
-  /// either all old or all new segments — never a mix that would
-  /// double-count or drop rows. Unlike ReplaceSegment, row counts may be
-  /// redistributed arbitrarily across the replacements; only the total
-  /// must be conserved (checked by the caller, not here).
+  /// The one publish step for every data move after ingest (see
+  /// storage/rewrite.h): atomically swaps the published segments
+  /// `old_segments` (matched by identity; may be empty) for
+  /// `replacements`, and, when `sideline` is set, the raw sideline for
+  /// `*sideline`. All-or-nothing: when any of `old_segments` is no longer
+  /// published (a concurrent rewrite won the race), nothing is touched
+  /// and false is returned. The snapshot lock is held across the whole
+  /// swap, so a concurrent Snapshot sees either the old or the new state,
+  /// never a mix that would double-count or drop rows. Row counts may be
+  /// redistributed across the replacements; only the total must be
+  /// conserved (the caller's duty, not checked here).
+  ///
+  /// Placement: a one-for-one replacement takes the old segment's slot;
+  /// otherwise the old segments are removed and the replacements placed
+  /// round-robin, as AddSegment does. Replacements are spilled before any
+  /// lock is taken. A sideline swap requires restructure_mu() held across
+  /// the preceding sideline read.
   bool ReplaceSegments(const std::vector<SegmentRef>& old_segments,
-                       std::vector<ColumnarSegment> replacements);
+                       std::vector<ColumnarSegment> replacements,
+                       std::optional<RawStore> sideline = std::nullopt);
 
   /// Consistent point-in-time view of every published segment, shard-major
   /// order. Safe against concurrent appends/replacements, including a
@@ -156,27 +155,9 @@ class TableCatalog {
   std::vector<SegmentRef> SnapshotSegments() const;
 
   /// Atomic combined snapshot of segments + sideline: sees either the
-  /// pre- or the post-state of any concurrent PublishPromotion, never a
+  /// pre- or the post-state of any concurrent ReplaceSegments, never a
   /// half-applied one. The scan path for full scans.
   CatalogSnapshot Snapshot() const;
-
-  /// Atomically publishes a promotion: appends the promoted segment (when
-  /// `file_bytes` is non-empty) and swaps the sideline for `kept` in one
-  /// step, so no combined Snapshot can miss records mid-move. Callers
-  /// must hold restructure_mu() across the preceding sideline read and
-  /// this publish.
-  void PublishPromotion(std::string file_bytes, uint64_t num_rows,
-                        uint64_t annotation_epoch, RawStore kept);
-
- private:
-  /// AddSegment body after any spill already happened; takes only the
-  /// target shard lock (and may run under snapshot_mu_).
-  void AddSegmentPrepared(ColumnarSegment segment);
-
- public:
-
-  /// Appends one record to the raw sideline; safe from many threads.
-  void AppendRaw(std::string_view record);
 
   /// Appends a batch of records under a single sideline lock acquisition
   /// (the per-chunk path of a loader pool: one lock per chunk, not per
@@ -184,26 +165,19 @@ class TableCatalog {
   void AppendRawBatch(const std::vector<std::string_view>& records);
 
   /// Point-in-time view of the raw sideline. Safe against a concurrent
-  /// ReplaceRaw (promotion/backfill); concurrent *appends* still require
-  /// the quiescence the legacy pipeline already assumes.
+  /// sideline swap (promotion/backfill); concurrent *appends* still
+  /// require the quiescence the legacy pipeline already assumes.
   std::shared_ptr<const RawStore> SnapshotRaw() const;
-
-  /// Atomically swaps the sideline for `replacement` (after promotion
-  /// moved some records into columnar segments). Readers holding an old
-  /// snapshot keep reading the superseded store.
-  void ReplaceRaw(RawStore replacement);
 
   /// Shard count (segment placement is striped round-robin across them).
   size_t num_shards() const { return shards_.size(); }
 
   // --- Flat view, shard-major order ---
   size_t num_segments() const;
-  /// Quiescent accessor; the reference is invalidated by ReplaceSegment.
+  /// Quiescent accessor; the reference is invalidated by ReplaceSegments.
   const ColumnarSegment& segment(size_t i) const;
 
-  /// Direct sideline access for single-threaded phases (tests, benches,
-  /// legacy promotion). The pointer is invalidated by ReplaceRaw.
-  RawStore* mutable_raw() { return raw_.get(); }
+  /// Quiescent sideline accessor; invalidated by a sideline swap.
   const RawStore& raw() const { return *raw_; }
 
   /// Rows materialized in columnar form.
@@ -228,7 +202,7 @@ class TableCatalog {
   /// Serializes sideline *restructuring* — the snapshot→rebuild→replace
   /// sequences of query-driven promotion and backfill. Two concurrent
   /// restructures would each rebuild from the same snapshot and the
-  /// second ReplaceRaw would resurrect records the first one promoted
+  /// second sideline swap would resurrect records the first one promoted
   /// (double-counting them). Plain appends and snapshot readers do not
   /// take this lock.
   std::mutex& restructure_mu() const { return restructure_mu_; }
@@ -244,9 +218,8 @@ class TableCatalog {
   std::atomic<size_t> next_shard_{0};
   mutable std::mutex raw_mu_;
   mutable std::mutex restructure_mu_;
-  /// Held (briefly) by SnapshotSegments / combined Snapshot(), by the
-  /// publish step of a promotion (segment-append + sideline-swap), and
-  /// across the whole multi-segment swap of ReplaceSegments. Readers
+  /// Held (briefly) by SnapshotSegments / combined Snapshot(), and across
+  /// the whole swap of ReplaceSegments (segments and sideline). Readers
   /// therefore see any multi-step publish either fully applied or not at
   /// all; per-shard locks alone cannot give that (a shard-at-a-time
   /// snapshot could catch a cross-segment swap halfway).

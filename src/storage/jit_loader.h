@@ -1,10 +1,9 @@
 #ifndef CIAO_STORAGE_JIT_LOADER_H_
 #define CIAO_STORAGE_JIT_LOADER_H_
 
-#include <functional>
+#include <cstdint>
 
 #include "common/status.h"
-#include "json/value.h"
 #include "predicate/predicate.h"
 #include "predicate/registry.h"
 #include "storage/catalog.h"
@@ -18,41 +17,15 @@ struct JitStats {
   double seconds = 0.0;
 };
 
-/// Streams parsed JSON values from the raw store (the fallback scan path
-/// for queries with no pushed-down clause). Malformed records are counted
-/// and skipped.
-Status ForEachRawRecord(const RawStore& store,
-                        const std::function<void(const json::Value&)>& fn,
-                        JitStats* stats);
-
 /// Just-in-time loading (paper §I: "set aside the other raw data to be
-/// loaded when needed"): converts the whole raw sideline into a columnar
-/// segment and clears it. The promoted rows get all-zero annotation
-/// bitvectors.
-///
-/// Soundness of the all-zero annotations (single-plan pipeline): a record
-/// reaches the sideline only when the partial loader saw its OR over all
-/// pushed-down predicate bits as 0, and the client filter never produces
-/// false negatives (§IV-B, property-tested) — so a sidelined record
-/// provably satisfies NO pushed-down predicate. All-zero bits are
-/// therefore *exact* for those rows, not an approximation: a skipping
-/// scan that drops them can never drop a qualifying record
-/// (tests/no_false_negative_test.cc pins this end-to-end).
-///
-/// The argument breaks the moment the predicate set changes: under a new
-/// plan epoch a sidelined record may well satisfy a newly pushed
-/// predicate. The adaptive runtime therefore never uses this overload —
-/// it re-evaluates (the overload below / storage/backfill.h) instead.
-Status PromoteRawToColumnar(TableCatalog* catalog, size_t num_predicates,
-                            JitStats* stats);
-
-/// Re-evaluating promotion: like the above, but instead of pessimistic
-/// all-zero bits the promoted rows carry annotations computed by running
+/// loaded when needed"): converts the whole raw sideline into one columnar
+/// segment tagged `annotation_epoch` and leaves only the records that fail
+/// to parse raw. The promoted rows carry annotations computed by running
 /// `registry`'s predicates over the raw bytes (the client filter's
-/// record-major kernel), and the segment is tagged `annotation_epoch`.
-/// Use when the registry may differ from the one that sidelined the
-/// records — the bits stay free of false negatives, so skipping scans
-/// keep their benefit on the promoted rows.
+/// record-major kernel): free of false negatives under any registry, so
+/// skipping scans keep their benefit on the promoted rows. A sideline
+/// rewrite (storage/rewrite.h) that selects every record; compaction uses
+/// it.
 Status PromoteRawToColumnar(TableCatalog* catalog,
                             const PredicateRegistry& registry,
                             uint64_t annotation_epoch, JitStats* stats);
@@ -68,9 +41,8 @@ struct QueryPromotionStats {
   uint64_t parse_failures = 0;
 };
 
-/// Query-driven just-in-time promotion (the adaptive replacement for the
-/// all-or-nothing overloads): parses ONLY the raw records the query's
-/// residual predicate cannot rule out.
+/// Query-driven just-in-time promotion: parses ONLY the raw records the
+/// query's residual predicate cannot rule out.
 ///
 /// Each sideline record is screened with the query's compiled clause
 /// patterns (clauses that cannot run on raw bytes do not screen). The
@@ -81,6 +53,8 @@ struct QueryPromotionStats {
 /// `registry`'s predicates on the raw bytes — so subsequent skipping
 /// scans keep skipping (no pessimistic all-zero rows), and subsequent
 /// full scans find the rows in columnar form instead of re-parsing them.
+/// When every record is screened out, nothing is published. Skips (and
+/// returns OK) while another thread restructures the sideline.
 ///
 /// Run this BEFORE executing the query's full scan: the scan then counts
 /// the promoted rows from the segment and the remaining sideline shrinks

@@ -10,12 +10,9 @@
 #include "predicate/predicate.h"
 #include "predicate/registry.h"
 #include "storage/catalog.h"
+#include "storage/rewrite.h"
 
 namespace ciao {
-
-/// Rows per rewritten row group when RelayoutOptions::rows_per_group is 0
-/// (matches the ingest pipeline's default chunk granularity).
-inline constexpr size_t kDefaultRelayoutRowsPerGroup = 4096;
 
 /// Counters of one segment re-layout pass.
 struct RelayoutStats {
@@ -64,8 +61,9 @@ std::vector<HotPredicate> RankHotPredicates(const Workload& workload,
 ///     false-positive rows join the cold tail and the output segments
 ///     are marked `annotations_exact`), zone maps and match densities
 ///     recomputed per group — are packed into `options.rows_per_group`-row
-///     groups across a bounded number of output files and published
-///     atomically via TableCatalog::ReplaceSegments.
+///     groups, 8 groups per output file, placed round-robin and published
+///     atomically. All of it is one segment-input rewrite
+///     (storage/rewrite.h) over every participating segment.
 ///
 /// Only segments already carrying `annotation_epoch` bits participate
 /// (their id space matches the registry being evaluated); stale

@@ -51,7 +51,7 @@ CsvIngestResult IngestCsvChunk(const std::vector<std::string>& lines,
       EXPECT_TRUE(builder.AppendLine(lines[start + i]).ok());
       ++result.loaded;
     } else {
-      catalog->mutable_raw()->Append(lines[start + i]);
+      catalog->AppendRawBatch({lines[start + i]});
       ++result.sidelined;
     }
   }

@@ -503,25 +503,6 @@ TEST(PartialLoaderTest, IngestMessageCompletesMissingPredicates) {
 
 // ---------- JIT loader ----------
 
-TEST(JitLoaderTest, ForEachRawRecordParsesAndCounts) {
-  RawStore store;
-  store.Append(R"({"a":1,"s":"x"})");
-  store.Append("{bad json");
-  store.Append(R"({"a":2,"s":"y"})");
-
-  JitStats stats;
-  int64_t sum = 0;
-  ASSERT_TRUE(ForEachRawRecord(
-                  store,
-                  [&](const json::Value& v) { sum += v.Find("a")->as_int(); },
-                  &stats)
-                  .ok());
-  EXPECT_EQ(stats.records_parsed, 2u);
-  EXPECT_EQ(stats.parse_errors, 1u);
-  EXPECT_EQ(sum, 3);
-  EXPECT_GT(stats.seconds, 0.0);
-}
-
 TEST(JitLoaderTest, PromoteRawToColumnar) {
   LoaderFixture fx;
   PartialLoader loader(fx.schema, 1);
@@ -534,13 +515,20 @@ TEST(JitLoaderTest, PromoteRawToColumnar) {
   ASSERT_EQ(fx.catalog.raw_rows(), 5u);
   const uint64_t loaded_before = fx.catalog.loaded_rows();
 
+  // The registry's one predicate matches only row 0, which was loaded.
+  PredicateRegistry registry;
+  ASSERT_TRUE(
+      registry.Register(Clause::Of(SimplePredicate::KeyValue("a", 0)), 0.2, 1.0)
+          .ok());
   JitStats jit;
-  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, 1, &jit).ok());
+  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, registry,
+                                   /*annotation_epoch=*/0, &jit)
+                  .ok());
   EXPECT_EQ(fx.catalog.raw_rows(), 0u);
   EXPECT_EQ(fx.catalog.loaded_rows(), loaded_before + 5);
   EXPECT_EQ(jit.records_parsed, 5u);
 
-  // Promoted rows carry all-zero annotations (skipping stays sound).
+  // Promoted rows carry the registry's client bits: none of them matches.
   const size_t last = fx.catalog.num_segments() - 1;
   auto reader =
       columnar::TableReader::OpenBorrowed(fx.catalog.segment(last).file_bytes);
@@ -550,7 +538,12 @@ TEST(JitLoaderTest, PromoteRawToColumnar) {
   EXPECT_FALSE(meta->annotations.vector(0).Any());
 
   // Promoting an empty raw store is a no-op.
-  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, 1, &jit).ok());
+  const size_t segments = fx.catalog.num_segments();
+  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, registry,
+                                   /*annotation_epoch=*/0, &jit)
+                  .ok());
+  EXPECT_EQ(fx.catalog.num_segments(), segments);
+  EXPECT_EQ(jit.records_parsed, 5u);
 }
 
 // ---------- Catalog ----------
@@ -560,8 +553,7 @@ TEST(CatalogTest, CountersAndRatio) {
   TableCatalog catalog(schema);
   EXPECT_EQ(catalog.LoadingRatio(), 1.0);
   catalog.AddSegment("fake-bytes", 10);
-  catalog.mutable_raw()->Append("{}");
-  catalog.mutable_raw()->Append("{}");
+  catalog.AppendRawBatch({"{}", "{}"});
   EXPECT_EQ(catalog.loaded_rows(), 10u);
   EXPECT_EQ(catalog.raw_rows(), 2u);
   EXPECT_NEAR(catalog.LoadingRatio(), 10.0 / 12.0, 1e-12);
