@@ -1,9 +1,12 @@
 // Micro: columnar codec throughput — encode and decode per column type,
-// plus dictionary vs plain strings (the server-side loading/scan costs).
+// plus dictionary vs plain strings (the server-side loading/scan costs) —
+// and the CRC-32 that verifies every row group and mapped segment file.
 
 #include <benchmark/benchmark.h>
 
+#include "bench_gbench_main.h"
 #include "columnar/encoding.h"
+#include "common/crc32.h"
 #include "common/random.h"
 
 namespace {
@@ -59,6 +62,21 @@ void BM_Decode(benchmark::State& state, ColumnType type, size_t distinct) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }
 
+/// CRC-32 over `range(0)` random bytes: 4 KiB is about one row group,
+/// 128 KiB about one spilled segment file verified at map time.
+void BM_Crc32(benchmark::State& state) {
+  const size_t bytes = static_cast<size_t>(state.range(0));
+  Rng rng(13);
+  std::string buf(bytes, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32(buf.data(), buf.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Encode, int64, ColumnType::kInt64, 0);
@@ -71,5 +89,6 @@ BENCHMARK_CAPTURE(BM_Decode, double, ColumnType::kDouble, 0);
 BENCHMARK_CAPTURE(BM_Decode, bool, ColumnType::kBool, 0);
 BENCHMARK_CAPTURE(BM_Decode, string_dict, ColumnType::kString, 8);
 BENCHMARK_CAPTURE(BM_Decode, string_plain, ColumnType::kString, 1000000);
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(128 << 10);
 
-BENCHMARK_MAIN();
+CIAO_BENCH_JSON_MAIN("bench_micro_columnar")

@@ -137,14 +137,15 @@ void BitVector::SerializeTo(std::string* out) const {
 
 Result<BitVector> BitVector::Deserialize(std::string_view buffer,
                                          size_t* offset) {
-  if (*offset + 8 > buffer.size()) {
+  if (*offset > buffer.size() || buffer.size() - *offset < 8) {
     return Status::Corruption("BitVector: truncated size header");
   }
   uint64_t n = 0;
   std::memcpy(&n, buffer.data() + *offset, 8);
   *offset += 8;
-  const size_t words = (static_cast<size_t>(n) + 63) / 64;
-  if (*offset + words * 8 > buffer.size()) {
+  // n / 64 rounded up without the n + 63 that wraps for n near 2^64.
+  const uint64_t words = n / 64 + (n % 64 != 0 ? 1 : 0);
+  if (words > (buffer.size() - *offset) / 8) {
     return Status::Corruption("BitVector: truncated payload");
   }
   BitVector out;

@@ -61,12 +61,16 @@ void BitVectorSet::SerializeTo(std::string* out) const {
 
 Result<BitVectorSet> BitVectorSet::Deserialize(std::string_view buffer,
                                                size_t* offset) {
-  if (*offset + 4 > buffer.size()) {
+  if (*offset > buffer.size() || buffer.size() - *offset < 4) {
     return Status::Corruption("BitVectorSet: truncated count");
   }
   uint32_t count = 0;
   std::memcpy(&count, buffer.data() + *offset, 4);
   *offset += 4;
+  // Each vector carries at least its u64 size header.
+  if (count > (buffer.size() - *offset) / 8) {
+    return Status::Corruption("BitVectorSet: count exceeds the bytes left");
+  }
   BitVectorSet out;
   out.vectors_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -84,7 +88,7 @@ Result<BitVectorSet> BitVectorSet::Deserialize(std::string_view buffer,
 
 Result<BitVectorSetView> BitVectorSetView::Parse(std::string_view buffer,
                                                  size_t* offset) {
-  if (*offset + 4 > buffer.size()) {
+  if (*offset > buffer.size() || buffer.size() - *offset < 4) {
     return Status::Corruption("BitVectorSetView: truncated count");
   }
   uint32_t count = 0;
@@ -94,18 +98,23 @@ Result<BitVectorSetView> BitVectorSetView::Parse(std::string_view buffer,
   view.count_ = count;
   if (count == 0) return view;
 
-  if (*offset + 8 > buffer.size()) {
+  const size_t left = buffer.size() - *offset;
+  if (left < 8) {
     return Status::Corruption("BitVectorSetView: truncated size header");
   }
   uint64_t n = 0;
   std::memcpy(&n, buffer.data() + *offset, 8);
-  const size_t words = (static_cast<size_t>(n) + 63) / 64;
-  view.num_records_ = static_cast<size_t>(n);
-  view.stride_ = 8 + words * 8;
-  const size_t total = view.stride_ * count;
-  if (*offset + total > buffer.size()) {
+  // Bound the words, then the count, before either multiplication.
+  const uint64_t words = n / 64 + (n % 64 != 0 ? 1 : 0);
+  if (words > (left - 8) / 8) {
     return Status::Corruption("BitVectorSetView: truncated payload");
   }
+  view.num_records_ = static_cast<size_t>(n);
+  view.stride_ = 8 + static_cast<size_t>(words) * 8;
+  if (count > left / view.stride_) {
+    return Status::Corruption("BitVectorSetView: truncated payload");
+  }
+  const size_t total = view.stride_ * count;
   view.payload_ = buffer.substr(*offset, total);
   *offset += total;
   return view;

@@ -16,6 +16,8 @@ constexpr uint32_t kFooterMarker = 0x544F4F46;  // "FOOT"
 Status ParseZoneMaps(wire::Cursor* cursor, std::vector<ZoneMap>* out) {
   uint32_t zm_count = 0;
   CIAO_RETURN_IF_ERROR(cursor->ReadU32(&zm_count));
+  // u8 has_minmax + f64 min + f64 max + u64 null_count per zone map.
+  CIAO_RETURN_IF_ERROR(cursor->CheckCount(zm_count, 25, "zone-map count"));
   out->resize(zm_count);
   for (ZoneMap& zm : *out) {
     uint8_t has = 0;

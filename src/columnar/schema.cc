@@ -37,6 +37,9 @@ Result<Schema> Schema::Deserialize(std::string_view buffer, size_t* offset) {
   wire::Cursor cursor(buffer, *offset);
   uint32_t count = 0;
   CIAO_RETURN_IF_ERROR(cursor.ReadU32(&count));
+  // No CRC covers the schema, so bound the count before reserving: each
+  // field takes at least its u32 name length and u8 type.
+  CIAO_RETURN_IF_ERROR(cursor.CheckCount(count, 5, "schema field count"));
   std::vector<Field> fields;
   fields.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

@@ -112,6 +112,18 @@ class Cursor {
     return Status::OK();
   }
 
+  /// Corruption unless `count` entries of at least `min_entry_bytes` each
+  /// fit in the bytes left. Run on every decoded count before it sizes an
+  /// allocation, so a flipped bit cannot ask for gigabytes.
+  Status CheckCount(uint64_t count, size_t min_entry_bytes,
+                    const char* what) const {
+    if (count > remaining() / min_entry_bytes) {
+      return Status::Corruption(std::string("columnar file: ") + what +
+                                " exceeds the bytes left");
+    }
+    return Status::OK();
+  }
+
  private:
   Status Truncated(const char* what) const {
     return Status::Corruption(std::string("columnar file truncated reading ") +

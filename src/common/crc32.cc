@@ -3,6 +3,9 @@
 #include <array>
 #include <cstring>
 
+#include "common/crc32_clmul.h"
+#include "common/simd_gate.h"
+
 namespace ciao {
 
 namespace {
@@ -10,8 +13,7 @@ namespace {
 /// Slicing-by-8 table set: table[0] is the classic byte-at-a-time table,
 /// table[t][b] is the CRC of byte b followed by t zero bytes. Eight bytes
 /// are then folded per step with eight independent lookups instead of an
-/// 8-long dependency chain — ~6-8x over the byte loop, which matters
-/// because every row-group read verifies its body before decoding.
+/// 8-long dependency chain — ~6-8x over the byte loop.
 std::array<std::array<uint32_t, 256>, 8> BuildTables() {
   std::array<std::array<uint32_t, 256>, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
@@ -31,12 +33,19 @@ std::array<std::array<uint32_t, 256>, 8> BuildTables() {
   return tables;
 }
 
+/// The folding kernel runs when the CPU has it and CIAO_DISABLE_SIMD does
+/// not mask it (the mask is re-read per call so tests can flip it).
+bool ClmulEnabled() {
+  return internal::Crc32ClmulAvailable() &&
+         !SimdFeatureDisabled(SimdFeature::kPclmul);
+}
+
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
+namespace internal {
+
+uint32_t Crc32Slice8(const unsigned char* p, size_t len, uint32_t c) {
   static const auto kTables = BuildTables();
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t c = seed ^ 0xFFFFFFFFU;
   while (len >= 8) {
     uint32_t lo;
     uint32_t hi;
@@ -53,7 +62,23 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   for (size_t i = 0; i < len; ++i) {
     c = kTables[0][(c ^ p[i]) & 0xFF] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFU;
+  return c;
+}
+
+}  // namespace internal
+
+uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t c = seed ^ 0xFFFFFFFFU;
+  if (len >= internal::kCrc32ClmulMinBytes && ClmulEnabled()) {
+    // The kernel takes whole 16-byte blocks; slicing-by-8 finishes the
+    // len % 16 tail from the folded register.
+    const size_t folded = len & ~size_t{15};
+    c = internal::Crc32ClmulFold(p, folded, c);
+    p += folded;
+    len -= folded;
+  }
+  return internal::Crc32Slice8(p, len, c) ^ 0xFFFFFFFFU;
 }
 
 }  // namespace ciao

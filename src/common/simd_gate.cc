@@ -1,4 +1,4 @@
-#include "matcher/simd_gate.h"
+#include "common/simd_gate.h"
 
 #include <atomic>
 #include <cctype>
@@ -41,10 +41,14 @@ unsigned ParseSimdDisableList(std::string_view list) {
     if (token == "sse2") mask |= 1u << static_cast<int>(SimdFeature::kSse2);
     if (token == "ssse3") mask |= 1u << static_cast<int>(SimdFeature::kSsse3);
     if (token == "avx2") mask |= 1u << static_cast<int>(SimdFeature::kAvx2);
+    if (token == "pclmul") {
+      mask |= 1u << static_cast<int>(SimdFeature::kPclmul);
+    }
     if (token == "all") {
       mask |= (1u << static_cast<int>(SimdFeature::kSse2)) |
               (1u << static_cast<int>(SimdFeature::kSsse3)) |
-              (1u << static_cast<int>(SimdFeature::kAvx2));
+              (1u << static_cast<int>(SimdFeature::kAvx2)) |
+              (1u << static_cast<int>(SimdFeature::kPclmul));
     }
     if (end == list.size()) break;
     start = end + 1;

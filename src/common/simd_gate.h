@@ -1,5 +1,5 @@
-#ifndef CIAO_MATCHER_SIMD_GATE_H_
-#define CIAO_MATCHER_SIMD_GATE_H_
+#ifndef CIAO_COMMON_SIMD_GATE_H_
+#define CIAO_COMMON_SIMD_GATE_H_
 
 #include <string_view>
 
@@ -7,15 +7,17 @@ namespace ciao {
 
 /// SIMD instruction-set tiers the dispatchers can be told to avoid via the
 /// CIAO_DISABLE_SIMD environment knob (comma-separated list, e.g.
-/// "avx2,ssse3"). The knob *masks* features at dispatch time so the scalar
-/// fallbacks can be exercised on machines that do have the hardware — the
-/// forced-fallback CI leg runs the matcher and vectorized differential
-/// suites under it. It can only disable; it never enables a kernel the
-/// CPU lacks (runtime feature detection stays the hard guard).
+/// "avx2,ssse3"; "all" covers every tier). The knob *masks* features at
+/// dispatch time so the scalar fallbacks can be exercised on machines that
+/// do have the hardware — the forced-fallback CI leg runs the matcher,
+/// vectorized and storage suites under it. It can only disable; it never
+/// enables a kernel the CPU lacks (runtime feature detection stays the
+/// hard guard).
 enum class SimdFeature {
-  kSse2,   // FindSwar's 16-wide cmpeq screen
-  kSsse3,  // Teddy pshufb nibble-lookup kernel
-  kAvx2,   // Teddy 32-wide kernel
+  kSse2,    // FindSwar's 16-wide cmpeq screen
+  kSsse3,   // Teddy pshufb nibble-lookup kernel
+  kAvx2,    // Teddy 32-wide kernel
+  kPclmul,  // CRC-32 carry-less-multiply folding kernel
 };
 
 /// True when `feature` is listed in CIAO_DISABLE_SIMD. The env var is
@@ -34,4 +36,4 @@ unsigned ParseSimdDisableList(std::string_view list);
 
 }  // namespace ciao
 
-#endif  // CIAO_MATCHER_SIMD_GATE_H_
+#endif  // CIAO_COMMON_SIMD_GATE_H_

@@ -4,9 +4,9 @@
 #include <bit>
 #include <cstring>
 
+#include "common/simd_gate.h"
 #include "common/string_util.h"
 #include "matcher/kernels.h"
-#include "matcher/simd_gate.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>

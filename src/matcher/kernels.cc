@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "matcher/simd_gate.h"
+#include "common/simd_gate.h"
 
 #ifdef __SSE2__
 #include <emmintrin.h>

@@ -6,7 +6,7 @@
 #include <mutex>
 #include <numeric>
 
-#include "matcher/simd_gate.h"
+#include "common/simd_gate.h"
 #include "matcher/teddy_impl.h"
 
 namespace ciao {

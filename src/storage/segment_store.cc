@@ -70,11 +70,19 @@ class Cursor {
     return true;
   }
   size_t position() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;
   size_t pos_ = 0;
 };
+
+// Smallest encodings of a manifest segment entry (u32 name length, u64
+// rows, u64 epoch, u8 exact) and of a sideline record (u32 length). A CRC
+// proves the bytes are the ones written, not that a count in them is
+// sane, so every count is bounded by these before it sizes a vector.
+constexpr size_t kMinManifestSegmentBytes = 4 + 8 + 8 + 1;
+constexpr size_t kMinSidelineRecordBytes = 4;
 
 struct ManifestSegment {
   std::string name;
@@ -145,6 +153,9 @@ Result<Manifest> DecodeManifest(std::string_view bytes) {
       !cursor.ReadU32(&num_segments)) {
     return Status::Corruption("manifest: truncated header");
   }
+  if (num_segments > cursor.remaining() / kMinManifestSegmentBytes) {
+    return Status::Corruption("manifest: segment count exceeds the bytes left");
+  }
   m.segments.resize(num_segments);
   for (ManifestSegment& seg : m.segments) {
     uint8_t exact = 0;
@@ -194,6 +205,10 @@ Result<std::vector<std::string>> DecodeSideline(std::string_view bytes) {
   uint32_t count = 0;
   if (!cursor.ReadU32(&count)) {
     return Status::Corruption("sideline snapshot: truncated count");
+  }
+  if (count > cursor.remaining() / kMinSidelineRecordBytes) {
+    return Status::Corruption(
+        "sideline snapshot: record count exceeds the bytes left");
   }
   std::vector<std::string> records(count);
   for (std::string& record : records) {

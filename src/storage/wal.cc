@@ -61,6 +61,11 @@ Status DecodePayload(std::string_view payload, WalBatch* out) {
   out->seq = GetU64(payload, 0);
   const uint32_t n = GetU32(payload, 8);
   size_t offset = 12;
+  // The CRC proves the bytes, not the count: each record needs its u32
+  // length, so bound n before reserving.
+  if (n > (payload.size() - offset) / 4) {
+    return Status::Corruption("wal: record count exceeds the payload");
+  }
   out->records.clear();
   out->records.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

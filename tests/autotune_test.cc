@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "client/fleet.h"
+#include "common/simd_gate.h"
 #include "costmodel/autotune.h"
 #include "costmodel/hardware_profile.h"
 #include "json/parser.h"
 #include "json/writer.h"
 #include "matcher/kernels.h"
 #include "matcher/multi_pattern.h"
-#include "matcher/simd_gate.h"
 #include "predicate/registry.h"
 #include "workload/templates.h"
 
@@ -283,9 +283,11 @@ TEST(SimdGateTest, ParsesFeatureLists) {
                 (1u << static_cast<int>(SimdFeature::kSsse3)));
   EXPECT_EQ(ParseSimdDisableList(" sse2 "),
             1u << static_cast<int>(SimdFeature::kSse2));
+  EXPECT_EQ(ParseSimdDisableList("pclmul"),
+            1u << static_cast<int>(SimdFeature::kPclmul));
   EXPECT_EQ(ParseSimdDisableList("bogus,unknown"), 0u);
   EXPECT_EQ(ParseSimdDisableList("all"),
-            ParseSimdDisableList("sse2,ssse3,avx2"));
+            ParseSimdDisableList("sse2,ssse3,avx2,pclmul"));
 }
 
 TEST(SimdGateTest, MaskForcesScalarKernels) {
@@ -294,6 +296,7 @@ TEST(SimdGateTest, MaskForcesScalarKernels) {
   EXPECT_TRUE(SimdFeatureDisabled(SimdFeature::kSse2));
   EXPECT_TRUE(SimdFeatureDisabled(SimdFeature::kSsse3));
   EXPECT_TRUE(SimdFeatureDisabled(SimdFeature::kAvx2));
+  EXPECT_TRUE(SimdFeatureDisabled(SimdFeature::kPclmul));
 
   // Teddy must resolve to its scalar kernel under the mask.
   const auto m = MultiPatternMatcher::Build({"needle", "haystack"});

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bitvec/bitvector.h"
 #include "bitvec/bitvector_set.h"
 #include "common/random.h"
@@ -246,6 +248,39 @@ TEST(BitVectorSetTest, SerializeRoundTrip) {
   EXPECT_EQ(*decoded, set);
 }
 
+std::string U64Bytes(uint64_t v) {
+  std::string out(8, '\0');
+  std::memcpy(out.data(), &v, 8);
+  return out;
+}
+
+std::string U32Bytes(uint32_t v) {
+  std::string out(4, '\0');
+  std::memcpy(out.data(), &v, 4);
+  return out;
+}
+
+// Sizes whose word count n / 64 (rounded up) wraps or overruns the
+// buffer must fail before any allocation, not yield a vector whose size
+// claims ~2^64 bits over zero words.
+TEST(BitVectorTest, DeserializeRejectsSizeNearTwoToThe64) {
+  for (const uint64_t n :
+       {~uint64_t{0}, ~uint64_t{0} - 62, uint64_t{1} << 63}) {
+    const std::string buf = U64Bytes(n) + std::string(64, '\0');
+    size_t offset = 0;
+    EXPECT_TRUE(BitVector::Deserialize(buf, &offset).status().IsCorruption())
+        << n;
+  }
+}
+
+TEST(BitVectorSetTest, DeserializeRejectsCountBeyondBytes) {
+  // One real empty vector follows a count of 2^32 - 1.
+  const std::string buf = U32Bytes(0xFFFFFFFFu) + U64Bytes(0);
+  size_t offset = 0;
+  EXPECT_TRUE(
+      BitVectorSet::Deserialize(buf, &offset).status().IsCorruption());
+}
+
 TEST(BitVectorSetTest, DeserializeTruncatedFails) {
   BitVectorSet set(2, 100);
   std::string buf;
@@ -318,6 +353,25 @@ TEST(BitVectorSetViewTest, EmptySetAndTruncationFail) {
   EXPECT_TRUE(BitVectorSetView::Parse(full.substr(0, full.size() - 4), &offset)
                   .status()
                   .IsCorruption());
+}
+
+TEST(BitVectorSetViewTest, ParseRejectsOverflowingSizeAndStride) {
+  // n = 2^64 - 1 rounds up to zero words when computed as (n + 63) / 64.
+  {
+    const std::string buf = U32Bytes(1) + U64Bytes(~uint64_t{0});
+    size_t offset = 0;
+    EXPECT_TRUE(
+        BitVectorSetView::Parse(buf, &offset).status().IsCorruption());
+  }
+  // n = 2^63 makes a stride of 2^60 + 8 bytes; times 16 vectors it wraps
+  // to 128, which the buffer does hold.
+  {
+    const std::string buf =
+        U32Bytes(16) + U64Bytes(uint64_t{1} << 63) + std::string(120, '\0');
+    size_t offset = 0;
+    EXPECT_TRUE(
+        BitVectorSetView::Parse(buf, &offset).status().IsCorruption());
+  }
 }
 
 // Tail-word and padding edges of the word-at-a-time kernels: sizes

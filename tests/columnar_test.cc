@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "columnar/encoding.h"
 #include "columnar/file_reader.h"
 #include "columnar/file_writer.h"
 #include "columnar/json_converter.h"
 #include "columnar/record_batch.h"
 #include "columnar/schema.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "json/parser.h"
 
@@ -36,6 +39,17 @@ TEST(SchemaTest, DeserializeRejectsBadType) {
   std::string buf;
   schema.SerializeTo(&buf);
   buf.back() = '\x7F';  // invalid type byte
+  size_t offset = 0;
+  EXPECT_TRUE(Schema::Deserialize(buf, &offset).status().IsCorruption());
+}
+
+// No CRC covers the schema: a field count the bytes cannot hold must be
+// Corruption before anything is reserved for it.
+TEST(SchemaTest, DeserializeRejectsCountBeyondBytes) {
+  Schema schema({{"a", ColumnType::kInt64}, {"b", ColumnType::kString}});
+  std::string buf;
+  schema.SerializeTo(&buf);
+  buf[3] = static_cast<char>(buf[3] ^ 0x80);  // bit 31 of the field count
   size_t offset = 0;
   EXPECT_TRUE(Schema::Deserialize(buf, &offset).status().IsCorruption());
 }
@@ -321,6 +335,60 @@ TEST(TableFileTest, OpenRejectsCorruptFraming) {
     std::string bad = file.substr(0, file.size() - 4);  // truncated footer
     EXPECT_TRUE(TableReader::Open(bad).status().IsCorruption());
   }
+}
+
+uint32_t GetU32At(const std::string& bytes, size_t offset) {
+  uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, 4);
+  return v;
+}
+
+void PutU32At(std::string* bytes, size_t offset, uint32_t v) {
+  std::memcpy(bytes->data() + offset, &v, 4);
+}
+
+TEST(TableFileTest, FlippedSchemaCountBitIsCorruption) {
+  Rng rng(94);
+  RecordBatch batch = MakeBatch(20, &rng);
+  TableWriter writer(batch.schema());
+  ASSERT_TRUE(writer.AppendRowGroup(batch, BitVectorSet()).ok());
+  std::string file = std::move(writer).Finish();
+  file[8 + 3] = static_cast<char>(file[8 + 3] ^ 0x80);  // after "CIAOCOL1"
+  EXPECT_TRUE(TableReader::OpenBorrowed(file, ChecksumMode::kTrust)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(TableReader::Open(file).status().IsCorruption());
+}
+
+// The group CRC is re-stamped, so the count itself is the only fault.
+TEST(TableFileTest, ZoneMapCountBeyondHeaderIsCorruption) {
+  Rng rng(97);
+  RecordBatch batch = MakeBatch(20, &rng);
+  TableWriter writer(batch.schema());
+  ASSERT_TRUE(writer.AppendRowGroup(batch, BitVectorSet()).ok());
+  std::string file = std::move(writer).Finish();
+
+  // Group 0 after magic and schema: "GRUP" | u32 header_len | header |
+  // u32 body_len | body | u32 crc. The header opens with u64 rows and an
+  // empty annotation set's u32 count; the zone-map count follows.
+  std::string schema_bytes;
+  batch.schema().SerializeTo(&schema_bytes);
+  const size_t group = 8 + schema_bytes.size();
+  const uint32_t header_len = GetU32At(file, group + 4);
+  const size_t header = group + 8;
+  const uint32_t body_len = GetU32At(file, header + header_len);
+  const size_t body = header + header_len + 4;
+  ASSERT_EQ(GetU32At(file, header + 12), 4u);  // one zone map per column
+  PutU32At(&file, header + 12, 0xFFFFFFFFu);
+  uint32_t crc = Crc32(file.data() + header, header_len, 0);
+  crc = Crc32(file.data() + body, body_len, crc);
+  PutU32At(&file, body + body_len, crc);
+
+  auto reader = TableReader::OpenBorrowed(file);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->VerifyAllGroups().ok());
+  EXPECT_TRUE(reader->ReadMeta(0).status().IsCorruption());
+  EXPECT_TRUE(reader->ReadMetaLite(0).status().IsCorruption());
 }
 
 TEST(TableFileTest, CrcDetectsBodyCorruption) {

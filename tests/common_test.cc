@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <set>
 
 #include "common/crc32.h"
 #include "common/matrix.h"
 #include "common/random.h"
+#include "common/simd_gate.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -341,6 +344,108 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const uint32_t before = Crc32(data);
   data[3] ^= 1;
   EXPECT_NE(before, Crc32(data));
+}
+
+/// Sets CIAO_DISABLE_SIMD for the scope and restores the previous value
+/// (the forced-fallback CI leg runs this suite with the variable set).
+class ScopedSimdMask {
+ public:
+  explicit ScopedSimdMask(const char* list) {
+    if (const char* old = std::getenv("CIAO_DISABLE_SIMD")) old_ = old;
+    setenv("CIAO_DISABLE_SIMD", list, 1);
+    ReloadSimdDisableMaskForTest();
+  }
+  ~ScopedSimdMask() {
+    if (old_) {
+      setenv("CIAO_DISABLE_SIMD", old_->c_str(), 1);
+    } else {
+      unsetenv("CIAO_DISABLE_SIMD");
+    }
+    ReloadSimdDisableMaskForTest();
+  }
+  ScopedSimdMask(const ScopedSimdMask&) = delete;
+  ScopedSimdMask& operator=(const ScopedSimdMask&) = delete;
+
+ private:
+  std::optional<std::string> old_;
+};
+
+/// Crc32 with the carry-less-multiply kernel masked: slicing-by-8 only.
+uint32_t ScalarCrc32(const void* data, size_t len, uint32_t seed) {
+  ScopedSimdMask mask("pclmul");
+  return Crc32(data, len, seed);
+}
+
+/// Deterministic test bytes (splitmix64), independent of the library RNG
+/// so the known answers below stay fixed.
+std::string PatternBytes(size_t n, uint64_t state) {
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    state += 0x9E3779B97F4A7C15ULL;
+    uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    out[i] = static_cast<char>((z ^ (z >> 31)) & 0xFF);
+  }
+  return out;
+}
+
+// The kernel takes inputs of 64 bytes and more in 16-byte blocks; every
+// length across those boundaries, at every alignment, must agree with
+// slicing-by-8.
+TEST(Crc32Test, DispatchedMatchesScalarAtEveryLengthAndAlignment) {
+  const std::string buf = PatternBytes(300 + 16, 3);
+  Rng rng(17);
+  for (size_t align = 0; align < 16; ++align) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      const char* p = buf.data() + align;
+      ASSERT_EQ(Crc32(p, len, seed), ScalarCrc32(p, len, seed))
+          << "len " << len << " align " << align << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSplitAtEveryOffset) {
+  const std::string buf = PatternBytes(300, 5);
+  const uint32_t whole = Crc32(buf);
+  ASSERT_EQ(whole, ScalarCrc32(buf.data(), buf.size(), 0));
+  for (size_t k = 0; k <= buf.size(); ++k) {
+    const uint32_t head = Crc32(buf.data(), k, 0);
+    EXPECT_EQ(Crc32(buf.data() + k, buf.size() - k, head), whole) << k;
+    const uint32_t scalar_head = ScalarCrc32(buf.data(), k, 0);
+    EXPECT_EQ(ScalarCrc32(buf.data() + k, buf.size() - k, scalar_head), whole)
+        << k;
+  }
+}
+
+TEST(Crc32Test, DispatchedMatchesScalarOnOneMebibyte) {
+  const std::string buf = PatternBytes(1 << 20, 7);
+  EXPECT_EQ(Crc32(buf), ScalarCrc32(buf.data(), buf.size(), 0));
+  EXPECT_EQ(Crc32(buf.data() + 1, buf.size() - 9, 0xDEADBEEFu),
+            ScalarCrc32(buf.data() + 1, buf.size() - 9, 0xDEADBEEFu));
+}
+
+// Known answers computed with the slicing-by-8 implementation that wrote
+// every existing file and frame, so a kernel wrong in both dispatch modes
+// still fails here.
+TEST(Crc32Test, KnownAnswersOnLargeBuffers) {
+  const std::string mib = PatternBytes(1 << 20, 1);
+  std::string text;
+  while (text.size() < 1000) text += "client-assisted data loading ";
+  text.resize(1000);
+  const std::string zeros(64 << 10, '\0');
+  const std::string ones(4096, '\xFF');
+  for (const char* mask : {"", "pclmul"}) {
+    ScopedSimdMask scope(mask);
+    EXPECT_EQ(Crc32(mib), 0x7A1C8E46u) << mask;
+    EXPECT_EQ(Crc32(mib.data() + 3, (128 << 10) + 7, 0x12345678u),
+              0xE37F7933u)
+        << mask;
+    EXPECT_EQ(Crc32(zeros), 0xD7978EEBu) << mask;
+    EXPECT_EQ(Crc32(ones), 0xF154670Au) << mask;
+    EXPECT_EQ(Crc32(text), 0x673CFC7Eu) << mask;
+  }
 }
 
 // ---------- string_util ----------

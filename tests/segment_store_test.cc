@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "bitvec/bitvector_set.h"
 #include "columnar/file_writer.h"
 #include "columnar/json_converter.h"
+#include "common/crc32.h"
 #include "core/system.h"
 #include "json/parser.h"
 #include "predicate/semantic_eval.h"
@@ -60,6 +62,31 @@ ColumnarSegment MakeSegment(uint64_t n, uint64_t salt = 0) {
   segment.file_bytes = MakeFileBytes(n, salt);
   segment.num_rows = n;
   return segment;
+}
+
+void PutU32(uint32_t v, std::string* out) {
+  char buf[4];
+  std::memcpy(buf, &v, 4);
+  out->append(buf, 4);
+}
+
+void PutU64(uint64_t v, std::string* out) {
+  char buf[8];
+  std::memcpy(buf, &v, 8);
+  out->append(buf, 8);
+}
+
+/// `magic | body | u32 crc32(body)`: the manifest and sideline framing.
+std::string CrcFramed(std::string_view magic, const std::string& body) {
+  std::string out(magic);
+  out += body;
+  PutU32(Crc32(body), &out);
+  return out;
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // ---------- Spill + pin ----------
@@ -159,7 +186,80 @@ TEST(SegmentStoreTest, PinDetectsCorruptedSpilledFile) {
   std::filesystem::remove_all(dir);
 }
 
+// No CRC covers a columnar file's schema, and the count is read before
+// the map-time verification pass: one flipped bit must surface as
+// Corruption, not as a multi-gigabyte reservation that aborts the process.
+TEST(SegmentStoreTest, PinRejectsFlippedSchemaCountBit) {
+  const std::string dir = TempDir("ciao_store_schema_bit");
+  SegmentStore::Options options;
+  options.dir = dir;
+  auto store = SegmentStore::Open(options);
+  ASSERT_TRUE(store.ok());
+
+  ColumnarSegment segment = MakeSegment(32);
+  ASSERT_TRUE((*store)->SpillSegment(&segment).ok());
+  {
+    // Bit 31 of the u32 field count right after "CIAOCOL1".
+    std::fstream f(segment.disk->path,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(8 + 3);
+    char c = 0;
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x80);
+    f.seekp(8 + 3);
+    f.write(&c, 1);
+  }
+  auto pin = PinSegment(segment);
+  ASSERT_FALSE(pin.ok());
+  EXPECT_TRUE(pin.status().IsCorruption()) << pin.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
 // ---------- Checkpoint + recovery (store level) ----------
+
+/// A version-1 manifest body up to and including the segment count.
+std::string ManifestHead(uint32_t num_segments) {
+  std::string body;
+  PutU32(1, &body);  // version
+  // applied seq, registry fingerprint, epoch id, next file id
+  for (int i = 0; i < 4; ++i) PutU64(0, &body);
+  PutU32(num_segments, &body);
+  return body;
+}
+
+// A CRC proves the manifest bytes are the ones written, not that the
+// segment count in them is sane.
+TEST(SegmentStoreTest, OpenRejectsManifestSegmentCountBeyondBytes) {
+  const std::string dir = TempDir("ciao_store_manifest_count");
+  std::string body = ManifestHead(0xFFFFFFFFu);
+  PutU32(0, &body);  // a few entry bytes, then nothing
+  WriteBytes(dir + "/MANIFEST", CrcFramed("CIAOMAN1", body));
+  SegmentStore::Options options;
+  options.dir = dir;
+  auto store = SegmentStore::Open(options);
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SegmentStoreTest, OpenRejectsSidelineRecordCountBeyondBytes) {
+  const std::string dir = TempDir("ciao_store_sideline_count");
+  std::string manifest = ManifestHead(0);
+  const std::string sideline_name = "sideline_1.raw";
+  PutU32(static_cast<uint32_t>(sideline_name.size()), &manifest);
+  manifest += sideline_name;
+  WriteBytes(dir + "/MANIFEST", CrcFramed("CIAOMAN1", manifest));
+  std::string sideline;
+  PutU32(0xFFFFFFFFu, &sideline);
+  PutU32(0, &sideline);
+  WriteBytes(dir + "/" + sideline_name, CrcFramed("CIAORAW1", sideline));
+  SegmentStore::Options options;
+  options.dir = dir;
+  auto store = SegmentStore::Open(options);
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+  std::filesystem::remove_all(dir);
+}
 
 TEST(SegmentStoreTest, CheckpointThenReopenRecoversSegmentsAndSideline) {
   const std::string dir = TempDir("ciao_store_ckpt");
@@ -346,6 +446,38 @@ TEST(WalTest, ReplayStopsAtCorruptFrame) {
   ASSERT_TRUE(replay2.ok());
   ASSERT_EQ(replay2->batches.size(), 2u);
   EXPECT_FALSE(replay2->truncated_tail);
+  std::filesystem::remove_all(dir);
+}
+
+// A CRC-valid frame whose record count exceeds its payload is corrupt;
+// the replay rules treat it like any bad frame: a torn tail, dropped.
+TEST(WalTest, RecordCountBeyondPayloadIsATornTail) {
+  const std::string dir = TempDir("ciao_wal_count");
+  const std::string path = dir + "/wal.log";
+  {
+    auto wal = WriteAheadLog::Open(path, WalSyncMode::kNever);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append(1, {"{\"a\":1}"}).ok());
+  }
+  std::string bytes;
+  ASSERT_TRUE(fs::ReadFile(path, &bytes).ok());
+  const size_t first_frame = bytes.size();
+  std::string payload;
+  PutU64(2, &payload);            // seq
+  PutU32(0xFFFFFFFFu, &payload);  // record count
+  PutU32(0, &payload);            // one empty record
+  PutU32(0x464C5743, &bytes);     // "CWLF"
+  PutU32(static_cast<uint32_t>(payload.size()), &bytes);
+  PutU32(Crc32(payload), &bytes);
+  bytes += payload;
+  WriteBytes(path, bytes);
+
+  auto replay = WriteAheadLog::Replay(path);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ASSERT_EQ(replay->batches.size(), 1u);
+  EXPECT_EQ(replay->batches[0].seq, 1u);
+  EXPECT_TRUE(replay->truncated_tail);
+  EXPECT_EQ(replay->valid_bytes, first_frame);
   std::filesystem::remove_all(dir);
 }
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "storage/transport.h"
@@ -108,6 +109,36 @@ TEST(ChunkMessageMalformedTest, OversizedNdjsonLengthRejected) {
   // more bytes than the buffer holds.
   payload[8] = '\xff';
   payload[9] = '\xff';
+  EXPECT_TRUE(ChunkMessage::Deserialize(payload).status().IsCorruption());
+}
+
+void AppendU32(uint32_t v, std::string* out) {
+  char buf[4];
+  std::memcpy(buf, &v, 4);
+  out->append(buf, 4);
+}
+
+// The id count comes from the client: it must be bounded by the bytes
+// that follow before it sizes the id vector (2^32 - 1 ids = 16 GiB).
+TEST(ChunkMessageMalformedTest, IdCountBeyondBytesRejected) {
+  std::string payload = "CMG2";
+  AppendU32(4, &payload);            // total_predicates
+  AppendU32(0xFFFFFFFFu, &payload);  // evaluated id count
+  AppendU32(0, &payload);
+  EXPECT_TRUE(ChunkMessage::Deserialize(payload).status().IsCorruption());
+}
+
+// An NDJSON length near 2^64 must not wrap the bounds check. Wrapped,
+// 20 + (2^64 - 16) is offset 4: the length passes, the record is taken
+// from the bytes left, and the zero total_predicates word is then read as
+// an empty annotation set, so the message would decode "successfully".
+TEST(ChunkMessageMalformedTest, WrappingNdjsonLengthRejected) {
+  std::string payload = "CMG2";
+  AppendU32(0, &payload);  // total_predicates
+  AppendU32(0, &payload);  // no evaluated ids
+  const uint64_t len = ~uint64_t{0} - 15;
+  payload.append(reinterpret_cast<const char*>(&len), 8);
+  payload += "{}\n";
   EXPECT_TRUE(ChunkMessage::Deserialize(payload).status().IsCorruption());
 }
 
