@@ -17,6 +17,21 @@ void ChunkScheduler::Push(size_t worker, const ChunkTask& task) {
   work_cv_.notify_all();
 }
 
+void ChunkScheduler::AddProducers(size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  producers_ += n;
+}
+
+void ChunkScheduler::ProducerDone() {
+  bool released = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (producers_ > 0) --producers_;
+    released = producers_ == 0;
+  }
+  if (released) work_cv_.notify_all();
+}
+
 void ChunkScheduler::Requeue(size_t worker, const ChunkTask& task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -68,11 +83,14 @@ std::optional<ChunkTask> ChunkScheduler::Next(size_t worker, bool* stolen) {
       if (stolen != nullptr) *stolen = true;
       return task;
     }
-    if (pending_ == 0) return std::nullopt;  // everything completed
-    // Tasks are still in flight elsewhere; one may yet be re-queued (a
-    // failing client hands its chunk back), so wait rather than exit.
+    // Everything completed, and no producer can push more.
+    if (pending_ == 0 && producers_ == 0) return std::nullopt;
+    // Tasks are still in flight elsewhere (one may yet be re-queued: a
+    // failing client hands its chunk back), or a producer is still
+    // pushing, so wait rather than exit.
     work_cv_.wait(lock, [&] {
-      return closed_ || pending_ == 0 || AvailableFor(worker);
+      return closed_ || (pending_ == 0 && producers_ == 0) ||
+             AvailableFor(worker);
     });
   }
 }

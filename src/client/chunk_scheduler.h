@@ -36,8 +36,11 @@ struct ChunkTask {
 /// Termination: tasks are tracked from Push until TaskDone, so Next can
 /// distinguish "nothing for me right now" (another worker may still
 /// requeue its in-flight task — block) from "all work finished" (return
-/// nullopt). Close() abandons the remaining tasks and releases every
-/// blocked worker — the abort path when the transport breaks.
+/// nullopt). A producer that pushes while workers run holds the queue
+/// open (AddProducers / ProducerDone, as on BoundedTransport): until it
+/// is done, an empty queue means "wait", not "finished". Close()
+/// abandons the remaining tasks and releases every blocked worker — the
+/// abort path when the transport breaks.
 class ChunkScheduler {
  public:
   explicit ChunkScheduler(size_t num_workers, bool work_stealing = true);
@@ -50,6 +53,15 @@ class ChunkScheduler {
   /// safe to call concurrently with Next/TaskDone.
   void Push(size_t worker, const ChunkTask& task);
 
+  /// Registers `n` producers that push while workers run; each calls
+  /// ProducerDone when it has pushed its last task. Seeding every task
+  /// before the workers start needs no hold.
+  void AddProducers(size_t n);
+
+  /// Marks one producer finished; the last one lets Next report
+  /// "all work finished" once every task is done.
+  void ProducerDone();
+
   /// Hands a task obtained from Next back to the queue (the in-flight
   /// chunk of a failing client). The task stays pending — it was never
   /// completed — so this must NOT be paired with a later TaskDone by the
@@ -57,8 +69,9 @@ class ChunkScheduler {
   void Requeue(size_t worker, const ChunkTask& task);
 
   /// Next task for `worker`: its own deque first, else a steal (see class
-  /// comment), else blocks until work appears, every task completed, or
-  /// the scheduler closes. nullopt = no work will ever come — exit.
+  /// comment), else blocks until work appears, every task completed with
+  /// no producer open, or the scheduler closes. nullopt = no work will
+  /// ever come — exit.
   /// `stolen`, when non-null, reports whether the task came from another
   /// worker's deque.
   std::optional<ChunkTask> Next(size_t worker, bool* stolen = nullptr);
@@ -94,6 +107,8 @@ class ChunkScheduler {
   std::vector<std::deque<ChunkTask>> deques_;
   std::vector<bool> failed_;
   uint64_t pending_ = 0;
+  /// Producers registered and not yet done.
+  size_t producers_ = 0;
   uint64_t steals_ = 0;
   bool closed_ = false;
 };

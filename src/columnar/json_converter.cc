@@ -2,12 +2,10 @@
 
 #include <map>
 
-#include "json/parser.h"
-
 namespace ciao::columnar {
 
-BatchBuilder::BatchBuilder(Schema schema, ParsePath path)
-    : schema_(schema), batch_(std::move(schema)), path_(path) {
+BatchBuilder::BatchBuilder(Schema schema)
+    : schema_(schema), batch_(std::move(schema)) {
   field_paths_.reserve(schema_.num_fields());
   for (size_t c = 0; c < schema_.num_fields(); ++c) {
     const std::string& name = schema_.field(c).name;
@@ -73,15 +71,6 @@ void BatchBuilder::AppendParsed(const json::Value& record) {
 }
 
 Status BatchBuilder::AppendSerialized(std::string_view serialized) {
-  if (path_ == ParsePath::kDom) {
-    Result<json::Value> parsed = json::Parse(serialized);
-    if (!parsed.ok()) {
-      ++parse_errors_;
-      return parsed.status();
-    }
-    AppendParsed(*parsed);
-    return Status::OK();
-  }
   Status st = tape_parser_.Parse(serialized, &tape_);
   if (!st.ok()) {
     ++parse_errors_;

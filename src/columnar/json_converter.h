@@ -18,11 +18,11 @@ namespace ciao::columnar {
 /// records: parse, extract (dotted paths into nested objects), coerce, and
 /// append columnar values.
 ///
-/// Serialized records take the zero-allocation tape path by default: one
-/// single-pass scan onto a reusable token tape, then only the schema's
-/// columns are pulled off the tape — no DOM is materialized. The DOM path
-/// (json::Parse + AppendParsed) is kept as the differential-test oracle
-/// and is selectable via ParsePath::kDom.
+/// Serialized records take the zero-allocation tape path: one single-pass
+/// scan onto a reusable token tape, then only the schema's columns are
+/// pulled off the tape — no DOM is materialized. AppendParsed converts an
+/// already-parsed DOM with the same rules; tests/tape_parser_test.cc pins
+/// json::Parse + AppendParsed and AppendSerialized to identical batches.
 ///
 /// Coercion rules: Int64 accepts JSON ints; Double accepts ints and
 /// doubles; Bool accepts bools; String accepts strings. A missing field or
@@ -31,20 +31,13 @@ namespace ciao::columnar {
 /// a non-zero count flags schema drift.
 class BatchBuilder {
  public:
-  /// How AppendSerialized turns bytes into column values. Both paths are
-  /// pinned to identical output by tests/tape_parser_test.cc.
-  enum class ParsePath {
-    kTape,  // single-pass tape scan, schema-driven extraction (default)
-    kDom,   // json::Parse into a Value DOM, then AppendParsed (oracle)
-  };
-
-  explicit BatchBuilder(Schema schema, ParsePath path = ParsePath::kTape);
+  explicit BatchBuilder(Schema schema);
 
   /// Appends one parsed record.
   void AppendParsed(const json::Value& record);
 
-  /// Parses `serialized` then appends; returns the parse error if any
-  /// (the record is then skipped, counted in `parse_errors`).
+  /// Tape-parses `serialized` then appends; returns the parse error if
+  /// any (the record is then skipped, counted in `parse_errors`).
   Status AppendSerialized(std::string_view serialized);
 
   size_t num_rows() const { return batch_.num_rows(); }
@@ -59,11 +52,10 @@ class BatchBuilder {
 
   Schema schema_;
   RecordBatch batch_;
-  ParsePath path_;
   size_t coercion_errors_ = 0;
   size_t parse_errors_ = 0;
 
-  // Tape-path state, reused across records so steady-state appends do not
+  // Tape state, reused across records so steady-state appends do not
   // allocate: the parser's number scratch, the token tape, the
   // escaped-string decode scratch, and each field's pre-split dotted path
   // (split exactly like Value::FindPath, empty segments preserved).

@@ -17,9 +17,6 @@ CiaoSystem::CiaoSystem(columnar::Schema schema, Workload workload,
       bootstrap_epoch_(PlanEpoch::Make(0, std::move(outcome))),
       epochs_(bootstrap_epoch_) {
   transport_ = std::make_unique<InMemoryTransport>();
-  client_ = std::make_unique<ClientSession>(
-      ClientFilter(&bootstrap_epoch_->registry()), transport_.get(),
-      config_.chunk_size);
   catalog_ = std::make_unique<TableCatalog>(schema_);
   ExecutorOptions executor_options;
   executor_options.num_scan_threads = config_.query_scan_threads;
@@ -211,24 +208,9 @@ Status CiaoSystem::IngestRecords(const std::vector<std::string>& records) {
     CIAO_RETURN_IF_ERROR(store_->LogBatch(seq, records));
   }
   const std::shared_ptr<const PlanEpoch> epoch = epochs_.current();
-  Status st;
-  if (config_.ingest.concurrent()) {
-    st = IngestRecordsConcurrent(records, *epoch);
-  } else if (config_.adaptive.enabled) {
-    st = IngestRecordsSequential(records, *epoch);
-  } else {
-    // The paper's sequential pipeline, untouched: the bootstrap session
-    // prefilters and ships, then the transport is drained. The bootstrap
-    // client evaluates the full registry, so server completion has
-    // nothing to do here.
-    st = client_->SendRecords(records);
-    if (st.ok()) {
-      const PartialLoader loader(schema_, bootstrap_epoch_->registry(),
-                                 bootstrap_epoch_->id,
-                                 config_.ingest.server_completion);
-      st = DrainTransport(loader, *bootstrap_epoch_);
-    }
-  }
+  const Status st = config_.ingest.concurrent()
+                        ? IngestRecordsConcurrent(records, *epoch)
+                        : IngestRecordsSequential(records, *epoch);
   ingest_wall_seconds_ += watch.ElapsedSeconds();
   gate.unlock();
   // Opportunistic checkpoint once the WAL tail outgrows the knob: bounds
@@ -245,8 +227,11 @@ Status CiaoSystem::IngestRecords(const std::vector<std::string>& records) {
 
 Status CiaoSystem::IngestRecordsSequential(
     const std::vector<std::string>& records, const PlanEpoch& epoch) {
-  // Per-call session: a re-plan between ingest calls switches the
-  // prefilter to the new epoch's registry.
+  // The paper's sequential pipeline: one session prefilters and ships,
+  // then the transport is drained. The session is per call, so a re-plan
+  // between ingest calls switches the prefilter to the new epoch's
+  // registry; its full-registry filter shares the registry's compiled
+  // program, so a call compiles nothing.
   ClientSession session(ClientFilter(&epoch.registry()), transport_.get(),
                         config_.chunk_size);
   Status st = session.SendRecords(records);
@@ -255,7 +240,7 @@ Status CiaoSystem::IngestRecordsSequential(
                                config_.ingest.server_completion);
     st = DrainTransport(loader, epoch);
   }
-  pool_prefilter_stats_.MergeFrom(session.stats());
+  prefilter_stats_.MergeFrom(session.stats());
   if (replan_ != nullptr) {
     replan_->RecordIngest(session.stats().records_filtered,
                           session.stats().seconds, epoch);
@@ -297,7 +282,7 @@ Status CiaoSystem::IngestRecordsConcurrent(
   transport.ProducerDone();
   Status load_status = loaders.Join();
 
-  pool_prefilter_stats_.MergeFrom(fleet.stats());
+  prefilter_stats_.MergeFrom(fleet.stats());
   load_stats_.MergeFrom(loaders.stats());
   if (replan_ != nullptr) {
     // Cost recalibration models a full-registry scan per record, so only

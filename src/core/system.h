@@ -151,13 +151,9 @@ class CiaoSystem {
   /// a columnar segment (off the query path) and checkpoints — what a
   /// background compactor tick runs. No-op without storage.
   Status CompactAndCheckpoint();
-  /// Client-side counters, merged across the sequential session and any
-  /// concurrent client pools.
-  PrefilterStats prefilter_stats() const {
-    PrefilterStats merged = client_->stats();
-    merged.MergeFrom(pool_prefilter_stats_);
-    return merged;
-  }
+  /// Client-side counters, merged across every ingest call's sessions
+  /// and client fleets.
+  PrefilterStats prefilter_stats() const { return prefilter_stats_; }
   /// Wall-clock time spent inside IngestRecords (with a concurrent pool
   /// this is smaller than the summed prefilter + loading CPU seconds).
   double ingest_wall_seconds() const { return ingest_wall_seconds_; }
@@ -172,9 +168,8 @@ class CiaoSystem {
   /// under `epoch`'s plan.
   Status DrainTransport(const PartialLoader& loader, const PlanEpoch& epoch);
 
-  /// Sequential ingest against an explicit epoch snapshot (adaptive
-  /// mode; the session is per-call so a re-plan between calls switches
-  /// the filter registry).
+  /// Sequential ingest against an explicit epoch snapshot: one client,
+  /// one loader.
   Status IngestRecordsSequential(const std::vector<std::string>& records,
                                  const PlanEpoch& epoch);
 
@@ -206,7 +201,6 @@ class CiaoSystem {
   // unique_ptr members keep internal cross-pointers stable if the
   // enclosing unique_ptr<CiaoSystem> moves.
   std::unique_ptr<InMemoryTransport> transport_;
-  std::unique_ptr<ClientSession> client_;
   std::unique_ptr<SegmentStore> store_;  // storage mode only
   std::unique_ptr<TableCatalog> catalog_;
   std::unique_ptr<QueryExecutor> executor_;
@@ -226,7 +220,7 @@ class CiaoSystem {
 
   // Ingest-phase counters; single ingest caller assumed (as before).
   LoadStats load_stats_;
-  PrefilterStats pool_prefilter_stats_;
+  PrefilterStats prefilter_stats_;
   double ingest_wall_seconds_ = 0.0;
 
   // Query-phase counters, guarded for concurrent ExecuteQuery callers.

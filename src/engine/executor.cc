@@ -1,26 +1,25 @@
 #include "engine/executor.h"
 
 #include <atomic>
-#include <functional>
+#include <optional>
 #include <thread>
 
-#include <optional>
-
 #include "columnar/file_reader.h"
+#include "columnar/json_converter.h"
 #include "common/timer.h"
 #include "engine/projection.h"
 #include "engine/typed_eval.h"
 #include "engine/vectorized_eval.h"
 #include "engine/zone_map_filter.h"
-#include "json/parser.h"
 #include "predicate/pattern_compiler.h"
-#include "predicate/semantic_eval.h"
-#include "storage/jit_loader.h"
 #include "storage/segment_file.h"
 
 namespace ciao {
 
 namespace {
+
+/// Sideline records parsed into one batch before it is evaluated.
+constexpr size_t kSidelineBatchRows = 4096;
 
 /// The query compiled for whichever evaluation mode the executor runs:
 /// exactly one of the two evaluators is populated. Counts are identical
@@ -64,43 +63,33 @@ struct GroupEvaluator {
                                    uint64_t num_rows,
                                    const BitVector* selection,
                                    QueryResult* out) const {
+    BitVector hits;
     if (vectorized.has_value()) {
-      CIAO_ASSIGN_OR_RETURN(
-          BitVector hits,
-          vectorized->Evaluate(batch, static_cast<size_t>(num_rows),
-                               selection));
-      if (!projection.empty()) {
-        projection.EnsureSize(&out->projected_hashes);
-        for (const uint32_t r : hits.SetBits()) {
-          projection.AccumulateRow(batch, r, &out->projected_hashes);
-        }
-      }
-      return static_cast<uint64_t>(hits.CountOnes());
-    }
-    if (!projection.empty()) projection.EnsureSize(&out->projected_hashes);
-    uint64_t matched = 0;
-    const auto visit = [&](size_t r) {
-      if (!rowwise->Matches(batch, r)) return;
-      ++matched;
-      if (!projection.empty()) {
-        projection.AccumulateRow(batch, r, &out->projected_hashes);
-      }
-    };
-    if (selection != nullptr) {
-      for (const uint32_t r : selection->SetBits()) visit(r);
+      CIAO_ASSIGN_OR_RETURN(hits, vectorized->Evaluate(batch, num_rows,
+                                                       selection));
     } else {
-      for (size_t r = 0; r < num_rows; ++r) visit(r);
+      hits = BitVector(num_rows);
+      const auto verify = [&](size_t r) {
+        if (rowwise->Matches(batch, r)) hits.Set(r, true);
+      };
+      if (selection != nullptr) {
+        for (const uint32_t r : selection->SetBits()) verify(r);
+      } else {
+        for (size_t r = 0; r < num_rows; ++r) verify(r);
+      }
     }
-    return matched;
+    ProjectCandidates(batch, num_rows, &hits, out);
+    return hits.CountOnes();
   }
 
   /// Folds every candidate row (selection, or all `num_rows` when null)
   /// into `out`'s projected checksums without re-evaluating the
-  /// predicate — the exact-bits counting path, where the candidates ARE
-  /// the matches.
+  /// predicate — the candidates are the matches. No-op without a
+  /// projection.
   void ProjectCandidates(const columnar::RecordBatch& batch,
                          uint64_t num_rows, const BitVector* selection,
                          QueryResult* out) const {
+    if (projection.empty()) return;
     projection.EnsureSize(&out->projected_hashes);
     if (selection != nullptr) {
       for (const uint32_t r : selection->SetBits()) {
@@ -121,17 +110,163 @@ void AddDecodeStats(const columnar::DecodeStats& d, ScanStats* stats) {
   stats->bytes_decode_waste += d.bytes_wasted;
 }
 
-/// Runs `scan_one` over every snapshotted segment, fanning out across
+/// What a query's scan holds fixed across segments. A full scan has no
+/// predicate ids: no segment's bits are usable, the selection stays null
+/// and every row is a candidate.
+struct ScanPlan {
+  const Query& query;
+  const columnar::Schema& schema;
+  const GroupEvaluator& eval;
+  /// Pushed-down clause ids whose annotation bitvectors are ANDed.
+  const std::vector<uint32_t>& predicate_ids;
+  /// The epoch those ids belong to; only bits tagged with it are usable.
+  uint64_t epoch_id = 0;
+  bool use_zone_maps = true;
+  /// What the exact-bits counting path decodes: the projected columns
+  /// only, since the predicate itself needs no column there.
+  std::vector<bool> projected_only;
+};
+
+/// The one row-group loop: full scans, stale-epoch segments and skipping
+/// scans all run through it. Per group: metadata, then (fresh bits only)
+/// the bitvector intersection and exact-bits counting, then zone maps,
+/// then the projected decode and typed verification.
+Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
+                   QueryResult* out) {
+  const bool skipping = !plan.predicate_ids.empty();
+  // Bits written under another epoch index a different predicate set:
+  // ignore them and verify every row (sound; zone maps still apply).
+  // Only happens in the adaptive transition window, before/while
+  // backfill rewrites the segment for the new epoch.
+  const bool bits_fresh =
+      skipping && segment.annotation_epoch == plan.epoch_id;
+  // When every clause of the query was pushed down, the intersected
+  // annotation bits decide the whole query — and if the segment's bits
+  // additionally carry exact (typed-eval) provenance, the candidate
+  // count IS the group's count: no column decode, no re-verification.
+  // Backfilled and re-clustered segments qualify; ingest segments carry
+  // client-prefilter superset bits and always re-verify.
+  const bool count_from_bits =
+      bits_fresh && segment.annotations_exact &&
+      plan.predicate_ids.size() == plan.query.clauses.size();
+  // kTrust: heap segments were written by the in-process TableWriter
+  // and have lived in memory since; disk-resident segments were
+  // CRC-verified once when their mmap was created (PinSegment), and
+  // mappings are immutable. Re-hashing every group body per query
+  // would dwarf the projected decode itself.
+  CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(segment));
+  if (pin.fresh_mapping) {
+    ++out->stats.segments_mapped;
+    out->stats.bytes_mapped += pin.bytes.size();
+  }
+  CIAO_ASSIGN_OR_RETURN(
+      columnar::TableReader reader,
+      columnar::TableReader::OpenBorrowed(pin.bytes,
+                                          columnar::ChecksumMode::kTrust));
+  for (size_t g = 0; g < reader.num_row_groups(); ++g) {
+    CIAO_ASSIGN_OR_RETURN(columnar::RowGroupMetaLite meta,
+                          reader.ReadMetaLite(g));
+    ++out->stats.groups_considered;
+    if (skipping && !bits_fresh) ++out->stats.groups_stale_annotations;
+    uint64_t candidates = meta.num_rows;
+    BitVector mask;
+    const BitVector* selection = nullptr;
+    if (bits_fresh) {
+      // AND the bitvectors of the query's pushed-down clauses (§VI-B).
+      // The header's match-density summary often answers without
+      // touching bitvector words: a pushed predicate with zero matches
+      // rules the whole group out, and all-full densities make every row
+      // a candidate — the common cases once re-layout has clustered rows
+      // so only cluster-boundary groups carry a mixed population.
+      bool density_decided = false;
+      if (!meta.match_counts.empty()) {
+        bool in_range = true;
+        bool any_zero = false;
+        bool all_full = true;
+        for (const uint32_t id : plan.predicate_ids) {
+          if (id >= meta.match_counts.size()) {
+            in_range = false;
+            break;
+          }
+          if (meta.match_counts[id] == 0) any_zero = true;
+          if (meta.match_counts[id] != meta.num_rows) all_full = false;
+        }
+        if (in_range && any_zero) {
+          candidates = 0;
+          density_decided = true;
+        } else if (in_range && all_full) {
+          density_decided = true;  // selection stays null: full batch
+        }
+      }
+      if (!density_decided) {
+        CIAO_ASSIGN_OR_RETURN(mask,
+                              meta.annotations.Intersect(plan.predicate_ids));
+        candidates = mask.CountOnes();
+        // A saturated mask restricts nothing; dropping it lets the
+        // vectorized kernels run full-batch instead of per-selection.
+        if (candidates != meta.num_rows) selection = &mask;
+      }
+      if (candidates == 0) {
+        // Whole group skipped; columns never decoded.
+        ++out->stats.groups_skipped;
+        out->stats.rows_skipped += meta.num_rows;
+        continue;
+      }
+      if (count_from_bits) {
+        // Exact bits + fully-pushed query: the candidates are the
+        // matches. Zone maps can't contradict exact bits, so they are
+        // not consulted either.
+        ++out->stats.groups_counted_exact;
+        out->stats.rows_skipped += meta.num_rows - candidates;
+        out->count += candidates;
+        if (!plan.eval.projection.empty()) {
+          columnar::DecodeStats decode;
+          CIAO_ASSIGN_OR_RETURN(
+              columnar::RecordBatch batch,
+              reader.ReadBatchProjected(g, plan.projected_only, &decode));
+          out->stats.rows_decoded += meta.num_rows;
+          AddDecodeStats(decode, &out->stats);
+          plan.eval.ProjectCandidates(batch, meta.num_rows, selection, out);
+        }
+        continue;
+      }
+    }
+    if (plan.use_zone_maps &&
+        !ZoneMapsMaySatisfy(plan.query, plan.schema, meta.zone_maps,
+                            meta.num_rows)) {
+      ++out->stats.groups_skipped_zonemap;
+      out->stats.rows_skipped += meta.num_rows;
+      continue;
+    }
+    columnar::DecodeStats decode;
+    CIAO_ASSIGN_OR_RETURN(
+        columnar::RecordBatch batch,
+        reader.ReadBatchProjected(g, plan.eval.wanted, &decode));
+    ++out->stats.groups_scanned;
+    out->stats.rows_decoded += meta.num_rows;
+    out->stats.rows_skipped += meta.num_rows - candidates;
+    out->stats.rows_evaluated += candidates;  // one add per batch
+    AddDecodeStats(decode, &out->stats);
+    // Verify candidates with the full typed predicate: bitvectors may
+    // contain false positives and the query may have non-pushed clauses.
+    // The candidate mask is the vectorized path's selection vector.
+    CIAO_ASSIGN_OR_RETURN(
+        const uint64_t matched,
+        plan.eval.CountAndProject(batch, meta.num_rows, selection, out));
+    out->count += matched;
+  }
+  return Status::OK();
+}
+
+/// Runs ScanSegment over every snapshotted segment, fanning out across
 /// worker threads when requested. Partial counts/stats accumulate per
 /// worker and merge commutatively, so any thread count yields identical
 /// results. The refcounted snapshot keeps replaced segments alive for the
 /// duration of the scan, so a concurrent backfill cannot pull bytes out
 /// from under a worker.
-Status ScanSegments(
-    const std::vector<SegmentRef>& segments, size_t num_threads,
-    const std::function<Status(const ColumnarSegment&, QueryResult*)>&
-        scan_one,
-    QueryResult* result) {
+Status ScanSegments(const ScanPlan& plan,
+                    const std::vector<SegmentRef>& segments,
+                    size_t num_threads, QueryResult* result) {
   const size_t total = segments.size();
   size_t threads = num_threads == 0
                        ? std::max(1u, std::thread::hardware_concurrency())
@@ -139,7 +274,7 @@ Status ScanSegments(
   threads = std::min(threads, total);
   if (threads <= 1) {
     for (size_t s = 0; s < total; ++s) {
-      CIAO_RETURN_IF_ERROR(scan_one(*segments[s], result));
+      CIAO_RETURN_IF_ERROR(ScanSegment(plan, *segments[s], result));
     }
     return Status::OK();
   }
@@ -154,7 +289,7 @@ Status ScanSegments(
       while (true) {
         const size_t s = next.fetch_add(1, std::memory_order_relaxed);
         if (s >= total) break;
-        Status st = scan_one(*segments[s], &partials[t]);
+        Status st = ScanSegment(plan, *segments[s], &partials[t]);
         if (!st.ok()) {
           statuses[t] = std::move(st);
           break;
@@ -170,22 +305,43 @@ Status ScanSegments(
   return Status::OK();
 }
 
-/// Typed verify of every row of one group (zone maps already consulted):
-/// the path for full scans and for groups whose annotations are stale.
-Status ScanGroupAllRows(const columnar::TableReader& reader, size_t group,
-                        uint64_t num_rows, const GroupEvaluator& eval,
-                        QueryResult* out) {
-  columnar::DecodeStats decode;
-  CIAO_ASSIGN_OR_RETURN(
-      columnar::RecordBatch batch,
-      reader.ReadBatchProjected(group, eval.wanted, &decode));
-  ++out->stats.groups_scanned;
-  out->stats.rows_decoded += num_rows;
-  out->stats.rows_evaluated += num_rows;  // one add per batch, not per row
-  AddDecodeStats(decode, &out->stats);
-  CIAO_ASSIGN_OR_RETURN(const uint64_t matched,
-                        eval.CountAndProject(batch, num_rows, nullptr, out));
-  out->count += matched;
+/// Scans the raw sideline with the same evaluator as the row groups.
+/// Records that survive `screen` are parsed on the loader's tape path in
+/// batches of kSidelineBatchRows, and each batch is verified and projected
+/// like a group. A value the converter coerces to NULL therefore matches
+/// nothing here either: a record gets the same answer raw as after it is
+/// promoted or compacted. Sideline rows add nothing to rows_decoded or
+/// rows_evaluated; they have their own raw_* counters.
+Status ScanSideline(const RawStore& raw, const RawQueryScreen& screen,
+                    const columnar::Schema& schema, const GroupEvaluator& eval,
+                    QueryResult* out) {
+  std::optional<columnar::BatchBuilder> builder;  // on the first survivor
+  const auto evaluate = [&]() -> Status {
+    const size_t rows = builder->num_rows();
+    if (rows == 0) return Status::OK();
+    const columnar::RecordBatch batch = builder->Finish();
+    CIAO_ASSIGN_OR_RETURN(const uint64_t matched,
+                          eval.CountAndProject(batch, rows, nullptr, out));
+    out->count += matched;
+    out->stats.raw_records_scanned += rows;
+    return Status::OK();
+  };
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const std::string_view record = raw.Record(i);
+    if (!screen.MaySatisfy(record)) {
+      ++out->stats.raw_records_screened_out;
+      continue;
+    }
+    if (!builder.has_value()) builder.emplace(schema);
+    if (!builder->AppendSerialized(record).ok()) {
+      ++out->stats.raw_parse_errors;
+      continue;
+    }
+    if (builder->num_rows() == kSidelineBatchRows) {
+      CIAO_RETURN_IF_ERROR(evaluate());
+    }
+  }
+  if (builder.has_value()) CIAO_RETURN_IF_ERROR(evaluate());
   return Status::OK();
 }
 
@@ -207,276 +363,59 @@ Result<QueryResult> QueryExecutor::Execute(const Query& query,
 }
 
 Result<QueryResult> QueryExecutor::ExecuteFullScan(const Query& query) const {
-  Stopwatch watch;
-  QueryResult result;
-  result.plan = PlanKind::kFullScan;
-
   // One combined snapshot of segments + sideline: a concurrent promotion
   // moves records between the two, and a consistent cut is what keeps the
   // count exact (either view of the move counts each record once).
-  const CatalogSnapshot snapshot = catalog_->Snapshot();
-
-  CIAO_ASSIGN_OR_RETURN(
-      GroupEvaluator eval,
-      GroupEvaluator::Make(query, catalog_->schema(), options_.query_eval));
-  eval.projection.EnsureSize(&result.projected_hashes);
-
-  const auto scan_one = [&](const ColumnarSegment& segment,
-                            QueryResult* out) -> Status {
-    // kTrust: heap segments were written by the in-process TableWriter
-    // and have lived in memory since; disk-resident segments were
-    // CRC-verified once when their mmap was created (PinSegment), and
-    // mappings are immutable. Re-hashing every group body per query
-    // would dwarf the projected decode itself.
-    CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(segment));
-    if (pin.fresh_mapping) {
-      ++out->stats.segments_mapped;
-      out->stats.bytes_mapped += pin.bytes.size();
-    }
-    CIAO_ASSIGN_OR_RETURN(
-        columnar::TableReader reader,
-        columnar::TableReader::OpenBorrowed(pin.bytes,
-                                            columnar::ChecksumMode::kTrust));
-    for (size_t g = 0; g < reader.num_row_groups(); ++g) {
-      CIAO_ASSIGN_OR_RETURN(columnar::RowGroupMetaLite meta,
-                            reader.ReadMetaLite(g));
-      ++out->stats.groups_considered;
-      if (options_.use_zone_maps &&
-          !ZoneMapsMaySatisfy(query, catalog_->schema(), meta.zone_maps,
-                              meta.num_rows)) {
-        ++out->stats.groups_skipped_zonemap;
-        out->stats.rows_skipped += meta.num_rows;
-        continue;
-      }
-      CIAO_RETURN_IF_ERROR(
-          ScanGroupAllRows(reader, g, meta.num_rows, eval, out));
-    }
-    return Status::OK();
-  };
-  CIAO_RETURN_IF_ERROR(ScanSegments(snapshot.segments,
-                                    options_.num_scan_threads, scan_one,
-                                    &result));
-
-  // The raw sideline must be scanned too: records there were never
-  // loaded, and without a pushed-down clause nothing proves they cannot
-  // satisfy the query. With raw_prefilter the query's own clause patterns
-  // rule records out *before* parsing (no false negatives, §IV-B); a
-  // clause that cannot run on raw bytes simply does not screen.
-  const std::shared_ptr<const RawStore>& raw = snapshot.raw;
-  if (!raw->empty()) {
-    std::vector<RawClauseProgram> screen;
-    if (options_.raw_prefilter) {
-      for (const Clause& clause : query.clauses) {
-        if (!clause.SupportedOnClient()) continue;
-        Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
-        if (program.ok()) screen.push_back(std::move(program).value());
-      }
-    }
-    JitStats jit;
-    uint64_t screened_out = 0;
-    uint64_t matched = 0;
-    for (size_t i = 0; i < raw->size(); ++i) {
-      const std::string_view record = raw->Record(i);
-      bool maybe = true;
-      for (const RawClauseProgram& program : screen) {
-        if (!program.Matches(record)) {  // conjunction: one miss kills it
-          maybe = false;
-          break;
-        }
-      }
-      if (!maybe) {
-        ++screened_out;
-        continue;
-      }
-      Result<json::Value> parsed = json::Parse(record);
-      if (!parsed.ok()) {
-        ++jit.parse_errors;
-        continue;
-      }
-      ++jit.records_parsed;
-      if (EvaluateQuery(query, *parsed)) {
-        ++matched;
-        // Sideline records hash through the converter's coercion rules,
-        // so a record contributes the same checksum whether it was loaded
-        // into columns or scanned raw.
-        if (!eval.projection.empty()) {
-          eval.projection.AccumulateParsed(*parsed, &result.projected_hashes);
-        }
-      }
-    }
-    result.count += matched;
-    result.stats.raw_records_screened_out = screened_out;
-    result.stats.raw_records_scanned = jit.records_parsed;
-    result.stats.raw_parse_errors = jit.parse_errors;
-  }
-
-  result.seconds = watch.ElapsedSeconds();
-  return result;
+  return Scan(query, {}, 0, catalog_->Snapshot());
 }
 
 Result<QueryResult> QueryExecutor::ExecuteWithSkipping(
     const Query& query, const std::vector<uint32_t>& predicate_ids,
     uint64_t epoch_id) const {
-  Stopwatch watch;
-  QueryResult result;
-  result.plan = PlanKind::kSkippingScan;
   if (predicate_ids.empty()) {
     return Status::InvalidArgument(
         "ExecuteWithSkipping: no pushed-down predicate ids");
   }
-
-  CIAO_ASSIGN_OR_RETURN(
-      GroupEvaluator eval,
-      GroupEvaluator::Make(query, catalog_->schema(), options_.query_eval));
-  eval.projection.EnsureSize(&result.projected_hashes);
-
-  // The exact-bits counting path needs no predicate column at all — with
-  // a projection it decodes just the projected columns and hashes the
-  // candidate rows. On a column-grouped layout this is the best case:
-  // only the chunks holding projected columns are touched.
-  const std::vector<bool> projected_only =
-      eval.projection.WantedColumnsOnly(catalog_->schema().num_fields());
-
-  // When every clause of the query was pushed down, the intersected
-  // annotation bits decide the whole query — and if a segment's bits
-  // additionally carry exact (typed-eval) provenance, the candidate
-  // count IS the group's count: no column decode, no re-verification.
-  // Backfilled and re-clustered segments qualify; ingest segments carry
-  // client-prefilter superset bits and always re-verify.
-  const bool full_cover = predicate_ids.size() == query.clauses.size();
-
-  const auto scan_one = [&](const ColumnarSegment& segment,
-                            QueryResult* out) -> Status {
-    // Bits written under another epoch index a different predicate set:
-    // ignore them and verify every row (sound; zone maps still apply).
-    // Only happens in the adaptive transition window, before/while
-    // backfill rewrites the segment for the new epoch.
-    const bool annotations_fresh = segment.annotation_epoch == epoch_id;
-    const bool count_from_bits =
-        annotations_fresh && segment.annotations_exact && full_cover;
-    // kTrust is sound for disk segments too: PinSegment CRC-verified the
-    // bytes when the mapping was created (see ExecuteFullScan).
-    CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(segment));
-    if (pin.fresh_mapping) {
-      ++out->stats.segments_mapped;
-      out->stats.bytes_mapped += pin.bytes.size();
-    }
-    CIAO_ASSIGN_OR_RETURN(
-        columnar::TableReader reader,
-        columnar::TableReader::OpenBorrowed(pin.bytes,
-                                            columnar::ChecksumMode::kTrust));
-    for (size_t g = 0; g < reader.num_row_groups(); ++g) {
-      CIAO_ASSIGN_OR_RETURN(columnar::RowGroupMetaLite meta,
-                            reader.ReadMetaLite(g));
-      ++out->stats.groups_considered;
-      if (!annotations_fresh) {
-        ++out->stats.groups_stale_annotations;
-        if (options_.use_zone_maps &&
-            !ZoneMapsMaySatisfy(query, catalog_->schema(), meta.zone_maps,
-                                meta.num_rows)) {
-          ++out->stats.groups_skipped_zonemap;
-          out->stats.rows_skipped += meta.num_rows;
-          continue;
-        }
-        CIAO_RETURN_IF_ERROR(
-            ScanGroupAllRows(reader, g, meta.num_rows, eval, out));
-        continue;
-      }
-      // AND the bitvectors of the query's pushed-down clauses (§VI-B).
-      // The header's match-density summary often answers without touching
-      // bitvector words: a pushed predicate with zero matches rules the
-      // whole group out, and all-full densities make every row a
-      // candidate — the common cases once re-layout has clustered rows so
-      // only cluster-boundary groups carry a mixed population.
-      uint64_t candidates = 0;
-      BitVector mask;
-      const BitVector* selection = nullptr;
-      bool density_decided = false;
-      if (!meta.match_counts.empty()) {
-        bool in_range = true;
-        bool any_zero = false;
-        bool all_full = true;
-        for (const uint32_t id : predicate_ids) {
-          if (id >= meta.match_counts.size()) {
-            in_range = false;
-            break;
-          }
-          if (meta.match_counts[id] == 0) any_zero = true;
-          if (meta.match_counts[id] != meta.num_rows) all_full = false;
-        }
-        if (in_range && any_zero) {
-          density_decided = true;  // candidates stays 0 → skip below
-        } else if (in_range && all_full) {
-          candidates = meta.num_rows;
-          density_decided = true;  // selection stays null: full batch
-        }
-      }
-      if (!density_decided) {
-        CIAO_ASSIGN_OR_RETURN(mask,
-                              meta.annotations.Intersect(predicate_ids));
-        candidates = mask.CountOnes();
-        // A saturated mask restricts nothing; dropping it lets the
-        // vectorized kernels run full-batch instead of per-selection.
-        if (candidates != meta.num_rows) selection = &mask;
-      }
-      if (candidates == 0) {
-        // Whole group skipped; columns never decoded.
-        ++out->stats.groups_skipped;
-        out->stats.rows_skipped += meta.num_rows;
-        continue;
-      }
-      if (count_from_bits) {
-        // Exact bits + fully-pushed query: the candidates are the
-        // matches. Zone maps can't contradict exact bits, so they are
-        // not consulted either.
-        ++out->stats.groups_counted_exact;
-        out->stats.rows_skipped += meta.num_rows - candidates;
-        out->count += candidates;
-        if (!eval.projection.empty()) {
-          columnar::DecodeStats decode;
-          CIAO_ASSIGN_OR_RETURN(
-              columnar::RecordBatch batch,
-              reader.ReadBatchProjected(g, projected_only, &decode));
-          out->stats.rows_decoded += meta.num_rows;
-          AddDecodeStats(decode, &out->stats);
-          eval.ProjectCandidates(batch, meta.num_rows, selection, out);
-        }
-        continue;
-      }
-      if (options_.use_zone_maps &&
-          !ZoneMapsMaySatisfy(query, catalog_->schema(), meta.zone_maps,
-                              meta.num_rows)) {
-        ++out->stats.groups_skipped_zonemap;
-        out->stats.rows_skipped += meta.num_rows;
-        continue;
-      }
-      columnar::DecodeStats decode;
-      CIAO_ASSIGN_OR_RETURN(
-          columnar::RecordBatch batch,
-          reader.ReadBatchProjected(g, eval.wanted, &decode));
-      ++out->stats.groups_scanned;
-      out->stats.rows_decoded += meta.num_rows;
-      out->stats.rows_skipped += meta.num_rows - candidates;
-      out->stats.rows_evaluated += candidates;
-      AddDecodeStats(decode, &out->stats);
-      // Verify candidates with the full typed predicate: bitvectors may
-      // contain false positives and the query may have non-pushed clauses.
-      // The candidate mask is the vectorized path's selection vector.
-      CIAO_ASSIGN_OR_RETURN(
-          const uint64_t matched,
-          eval.CountAndProject(batch, meta.num_rows, selection, out));
-      out->count += matched;
-    }
-    return Status::OK();
-  };
-  CIAO_RETURN_IF_ERROR(ScanSegments(catalog_->SnapshotSegments(),
-                                    options_.num_scan_threads, scan_one,
-                                    &result));
   // Raw sideline intentionally not scanned: every record satisfying a
   // pushed-down clause of this query was loaded (planner invariant —
   // upheld across re-plans because a new epoch installs only after
   // backfill promoted every sideline record matching one of its
   // predicates).
+  return Scan(query, predicate_ids, epoch_id,
+              CatalogSnapshot{catalog_->SnapshotSegments(), nullptr});
+}
+
+Result<QueryResult> QueryExecutor::Scan(
+    const Query& query, const std::vector<uint32_t>& predicate_ids,
+    uint64_t epoch_id, const CatalogSnapshot& snapshot) const {
+  Stopwatch watch;
+  QueryResult result;
+  result.plan =
+      predicate_ids.empty() ? PlanKind::kFullScan : PlanKind::kSkippingScan;
+  const columnar::Schema& schema = catalog_->schema();
+  CIAO_ASSIGN_OR_RETURN(
+      const GroupEvaluator eval,
+      GroupEvaluator::Make(query, schema, options_.query_eval));
+  eval.projection.EnsureSize(&result.projected_hashes);
+  const ScanPlan plan{query,
+                      schema,
+                      eval,
+                      predicate_ids,
+                      epoch_id,
+                      options_.use_zone_maps,
+                      eval.projection.WantedColumnsOnly(schema.num_fields())};
+  CIAO_RETURN_IF_ERROR(ScanSegments(plan, snapshot.segments,
+                                    options_.num_scan_threads, &result));
+  // Records in the sideline were never loaded, and without a pushed-down
+  // clause nothing proves they cannot satisfy the query. With
+  // raw_prefilter the query's own clause patterns rule records out
+  // before parsing (no false negatives, §IV-B).
+  if (snapshot.raw != nullptr && !snapshot.raw->empty()) {
+    CIAO_RETURN_IF_ERROR(ScanSideline(
+        *snapshot.raw,
+        options_.raw_prefilter ? RawQueryScreen(query) : RawQueryScreen(),
+        schema, eval, &result));
+  }
   result.seconds = watch.ElapsedSeconds();
   return result;
 }

@@ -24,10 +24,12 @@ struct ExecutorOptions {
   size_t num_scan_threads = 1;
 
   /// Full-scan path only: screen raw sideline records with the query's
-  /// compiled clause patterns before parsing them. The screen has no
-  /// false negatives (the client-filter property, §IV-B), so records it
-  /// rules out are counted as non-matching without a JSON parse. Off by
-  /// default — the legacy pipeline parses every sideline record.
+  /// compiled clause patterns (RawQueryScreen) before parsing them. The
+  /// screen has no false negatives (the client-filter property, §IV-B),
+  /// so records it rules out are counted as non-matching without a
+  /// parse. Survivors — every record when this is off, the default — are
+  /// tape-parsed in batches and verified by the same typed kernels as the
+  /// row groups.
   bool raw_prefilter = false;
 
   /// How rows are verified against the typed predicate: batch-at-a-time
@@ -79,6 +81,15 @@ class QueryExecutor {
       uint64_t epoch_id = 0) const;
 
  private:
+  /// The one scan: every segment of `snapshot` through the row-group
+  /// loop, using the annotation bits of `predicate_ids` where they were
+  /// written under `epoch_id` (none for a full scan), then the sideline
+  /// when `snapshot.raw` is set.
+  Result<QueryResult> Scan(const Query& query,
+                           const std::vector<uint32_t>& predicate_ids,
+                           uint64_t epoch_id,
+                           const CatalogSnapshot& snapshot) const;
+
   const TableCatalog* catalog_;
   const PredicateRegistry* registry_;
   ExecutorOptions options_;

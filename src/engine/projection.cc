@@ -39,10 +39,7 @@ uint64_t HashProjectedInt64(int64_t v) {
 }
 
 uint64_t HashProjectedDouble(double v) {
-  // Bit pattern, so -0.0 != 0.0 and NaN payloads hash as stored. A value
-  // widened from an int by the converter (AsNumber) produces the same
-  // pattern as the columnar slot it was coerced into, which is the
-  // cross-path property that matters.
+  // Bit pattern, so -0.0 != 0.0 and NaN payloads hash as stored.
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
@@ -62,10 +59,9 @@ ProjectionSpec::ProjectionSpec(const Query& query,
   columns_.reserve(query.projected.size());
   for (const std::string& name : query.projected) {
     ProjectedColumn col;
-    col.name = name;
     col.field = schema.FieldIndex(name);
     if (col.field >= 0) col.type = schema.field(size_t(col.field)).type;
-    columns_.push_back(std::move(col));
+    columns_.push_back(col);
   }
 }
 
@@ -115,35 +111,6 @@ void ProjectionSpec::AccumulateRow(const columnar::RecordBatch& batch,
         (*sums)[i] += HashProjectedString(col.GetString(r));
         break;
     }
-  }
-}
-
-void ProjectionSpec::AccumulateParsed(const json::Value& record,
-                                      std::vector<uint64_t>* sums) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    const ProjectedColumn& spec = columns_[i];
-    const json::Value* v =
-        spec.field >= 0 ? record.FindPath(spec.name) : nullptr;
-    // Mirror BatchBuilder::AppendParsed coercion exactly: a sidelined
-    // record must hash as it would after columnar conversion.
-    uint64_t h = HashProjectedNull();
-    if (v != nullptr) {
-      switch (spec.type) {
-        case columnar::ColumnType::kInt64:
-          if (v->is_int()) h = HashProjectedInt64(v->as_int());
-          break;
-        case columnar::ColumnType::kDouble:
-          if (v->is_number()) h = HashProjectedDouble(v->AsNumber());
-          break;
-        case columnar::ColumnType::kBool:
-          if (v->is_bool()) h = HashProjectedBool(v->as_bool());
-          break;
-        case columnar::ColumnType::kString:
-          if (v->is_string()) h = HashProjectedString(v->as_string());
-          break;
-      }
-    }
-    (*sums)[i] += h;
   }
 }
 

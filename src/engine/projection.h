@@ -11,12 +11,10 @@
 // sideline) all produce byte-identical checksums — which is exactly what
 // the grouped/ungrouped differential suites pin.
 //
-// Both value paths hash through the SAME canonical form: the columnar
-// path hashes decoded ColumnVector slots, the raw-sideline path coerces
-// parsed JSON values with the converter's rules (json_converter.cc:
-// kInt64 accepts is_int; kDouble accepts any number, widened; kBool/
-// kString accept exactly their type; everything else is NULL), so a
-// record hashes identically whether it was loaded or sidelined.
+// There is one value path: every hashed value is a ColumnVector slot.
+// Raw sideline records reach it through the loader's converter (the tape
+// parse into a RecordBatch), so a record hashes identically whether it
+// was loaded, promoted, or scanned raw.
 
 #include <cstdint>
 #include <string>
@@ -24,7 +22,6 @@
 
 #include "columnar/record_batch.h"
 #include "columnar/schema.h"
-#include "json/value.h"
 #include "predicate/predicate.h"
 
 namespace ciao {
@@ -38,11 +35,11 @@ uint64_t HashProjectedBool(bool v);
 uint64_t HashProjectedString(std::string_view v);
 
 /// A query's projected columns resolved against a schema. Unknown column
-/// names resolve to NULL on every row (both value paths agree: presence
-/// in the schema, not in the record, decides).
+/// names resolve to NULL on every row (presence in the schema, not in the
+/// record, decides).
 class ProjectionSpec {
  public:
-  /// Empty projection: ColumnsWanted adds nothing, Accumulate* no-op.
+  /// Empty projection: AddWantedColumns adds nothing.
   ProjectionSpec() = default;
 
   ProjectionSpec(const Query& query, const columnar::Schema& schema);
@@ -63,16 +60,11 @@ class ProjectionSpec {
   void AccumulateRow(const columnar::RecordBatch& batch, size_t r,
                      std::vector<uint64_t>* sums) const;
 
-  /// Accumulates a parsed raw-sideline record (converter coercion rules).
-  void AccumulateParsed(const json::Value& record,
-                        std::vector<uint64_t>* sums) const;
-
   /// Resizes `sums` to size() (zero-filled) if smaller.
   void EnsureSize(std::vector<uint64_t>* sums) const;
 
  private:
   struct ProjectedColumn {
-    std::string name;
     /// Schema field index, or -1 (projects NULL on every row).
     int field = -1;
     columnar::ColumnType type = columnar::ColumnType::kString;

@@ -165,4 +165,19 @@ size_t RawClauseProgram::TotalPatternLength() const {
   return total;
 }
 
+RawQueryScreen::RawQueryScreen(const Query& query) {
+  for (const Clause& clause : query.clauses) {
+    if (!clause.SupportedOnClient()) continue;
+    Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
+    if (program.ok()) programs_.push_back(std::move(program).value());
+  }
+}
+
+bool RawQueryScreen::MaySatisfy(std::string_view record) const {
+  for (const RawClauseProgram& program : programs_) {
+    if (!program.Matches(record)) return false;  // conjunction: one miss
+  }
+  return true;
+}
+
 }  // namespace ciao

@@ -71,6 +71,25 @@ class RawClauseProgram {
   std::vector<RawPredicateProgram> terms_;
 };
 
+/// A query's raw-byte screen: one program per clause that can run on raw
+/// bytes, ANDed. A record survives iff every program matches it; with no
+/// such clause every record survives. Each program has no false
+/// negatives, so a record the screen rules out provably does not satisfy
+/// the query. The sideline pass of a full scan and query-driven JIT
+/// promotion both screen through this.
+class RawQueryScreen {
+ public:
+  /// Screens nothing: every record survives.
+  RawQueryScreen() = default;
+  explicit RawQueryScreen(const Query& query);
+
+  bool MaySatisfy(std::string_view record) const;
+  bool empty() const { return programs_.empty(); }
+
+ private:
+  std::vector<RawClauseProgram> programs_;
+};
+
 }  // namespace ciao
 
 #endif  // CIAO_PREDICATE_PATTERN_COMPILER_H_

@@ -6,10 +6,14 @@
 
 namespace ciao {
 
-/// Ground-truth predicate semantics over a parsed JSON record. This is
-/// what the query engine uses to verify candidate tuples (the client-side
-/// string matching may produce false positives, never false negatives),
-/// and what correctness tests compare everything against.
+/// Ground-truth predicate semantics over a parsed JSON record: the oracle
+/// correctness tests compare everything against, and the evaluator that
+/// EstimateClauseStats runs over the planning sample. The query engine
+/// does not use it: it verifies every tuple, loaded or raw, with the
+/// typed evaluators over converted columns (engine/typed_eval.h,
+/// engine/vectorized_eval.h), which agree with these semantics on
+/// schema-conformant records; a value the converter coerces to NULL
+/// matches nothing there.
 ///
 /// Semantics:
 ///  - exact:    field is a string equal to the operand;

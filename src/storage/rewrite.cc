@@ -99,16 +99,10 @@ Status ReadSideline(const RewriteInput& input,
                     std::vector<AnnotatedGroup>* groups, BitVector* moved,
                     RewriteStats* stats) {
   const RawStore& raw = *input.sideline;
-  // Clauses that cannot run on raw bytes (e.g. ranges) do not screen;
-  // with no screenable clause every record is a candidate.
-  std::vector<RawClauseProgram> screen;
-  if (input.select == SidelineSelect::kQueryScreen && input.query != nullptr) {
-    for (const Clause& clause : input.query->clauses) {
-      if (!clause.SupportedOnClient()) continue;
-      Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
-      if (program.ok()) screen.push_back(std::move(program).value());
-    }
-  }
+  const RawQueryScreen screen =
+      input.select == SidelineSelect::kQueryScreen && input.query != nullptr
+          ? RawQueryScreen(*input.query)
+          : RawQueryScreen();
   json::JsonChunk candidates;
   std::vector<uint32_t> source;  // candidate -> sideline record index
   if (screen.empty()) {
@@ -116,14 +110,7 @@ Status ReadSideline(const RewriteInput& input,
   }
   for (size_t i = 0; i < raw.size(); ++i) {
     const std::string_view record = raw.Record(i);
-    bool maybe = true;
-    for (const RawClauseProgram& program : screen) {
-      if (!program.Matches(record)) {  // conjunction: one miss rules out
-        maybe = false;
-        break;
-      }
-    }
-    if (!maybe) {
+    if (!screen.MaySatisfy(record)) {
       ++stats->records_unselected;
       continue;
     }

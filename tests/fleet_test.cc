@@ -133,13 +133,17 @@ TEST(ChunkSchedulerConcurrencyTest, ConcurrentPushAndStealDeliverExactlyOnce) {
 
   // Seed half up front; push the rest concurrently with the drain, all
   // onto worker 0's deque so the others can only make progress stealing.
+  // The producer holds the queue open until its last push, so a worker
+  // that drains the seeded half first waits instead of exiting.
   for (uint64_t t = 0; t < kTasks / 2; ++t) {
     scheduler.Push(t % kWorkers, Task(t));
   }
+  scheduler.AddProducers(1);
   std::thread producer([&] {
     for (uint64_t t = kTasks / 2; t < kTasks; ++t) {
       scheduler.Push(0, Task(t));
     }
+    scheduler.ProducerDone();
   });
 
   std::vector<std::thread> workers;
