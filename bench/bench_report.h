@@ -54,9 +54,27 @@ inline std::string ReadFileOrEmpty(const std::string& path) {
 /// Merges `entries` into the shared report file: existing entries from
 /// other bench binaries are preserved, same-key entries are overwritten,
 /// and the checked-in baseline snapshot (CIAO_BENCH_BASELINE) is embedded
-/// when present.
+/// when present. A build with assertions (NDEBUG undefined) prints the
+/// cells and writes nothing: its numbers are not comparable with the
+/// Release cells the report holds.
 inline void MergeIntoReportFile(
     const std::map<std::string, BenchMetrics>& entries) {
+#ifndef NDEBUG
+  for (const auto& [key, metrics] : entries) {
+    std::printf("%s:", key.c_str());
+    for (const auto& [name, v] : metrics) {
+      std::printf(" %s=%g", name.c_str(), v);
+    }
+    std::printf("\n");
+  }
+  std::fprintf(stderr,
+               "bench_report: not writing %s: assertions are enabled "
+               "(NDEBUG undefined), so these numbers are not comparable "
+               "with Release cells; rebuild with "
+               "-DCMAKE_BUILD_TYPE=Release\n",
+               ReportPath().c_str());
+  return;
+#endif
   // Start from the existing report so the four hot-path benches, run as
   // separate binaries, accumulate into one file.
   std::map<std::string, BenchMetrics> merged;

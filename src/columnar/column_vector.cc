@@ -6,16 +6,19 @@ ColumnVector::ColumnVector(ColumnType type) : type_(type) {}
 
 void ColumnVector::DropDictionary() {
   if (!dict_values_.empty()) {
+    // Build the arena the appends extend: valid rows copy their entry,
+    // NULL slots stay empty.
+    offsets_.clear();
+    offsets_.reserve(size_ + 1);
+    offsets_.push_back(0);
+    buffer_.clear();
+    for (size_t i = 0; i < size_; ++i) {
+      if (validity_.Get(i)) buffer_.append(dict_values_[dict_codes_[i]]);
+      offsets_.push_back(static_cast<uint32_t>(buffer_.size()));
+    }
     dict_codes_.clear();
     dict_values_.clear();
   }
-}
-
-void ColumnVector::SetDictionary(std::vector<uint32_t> codes,
-                                 std::vector<std::string> values) {
-  if (codes.size() != size_) return;  // misaligned view is worse than none
-  dict_codes_ = std::move(codes);
-  dict_values_ = std::move(values);
 }
 
 void ColumnVector::AppendNull() {

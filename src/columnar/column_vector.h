@@ -8,13 +8,21 @@
 
 #include "bitvec/bitvector.h"
 #include "columnar/schema.h"
+#include "common/status.h"
 
 namespace ciao::columnar {
 
-/// In-memory column of one type with a validity bitmap. String payloads
-/// live in a single arena buffer addressed by offsets, so scans return
-/// zero-copy string_views (significant for per-query scan cost, which the
-/// paper's Fig 8/10/12 measure).
+/// In-memory column of one type with a validity bitmap. A string column
+/// holds its strings in exactly one of two forms, so scans return
+/// zero-copy string_views either way (significant for per-query scan
+/// cost, which the paper's Fig 8/10/12 measure):
+///   - arena: one buffer addressed by size()+1 offsets; every column
+///     built by appends has this form;
+///   - dictionary: one code per row into a list of distinct values, with
+///     no arena; a column decoded from dictionary encoding keeps this
+///     form (see columnar/encoding.h), and its NULL slots carry code 0.
+/// The first append to a dictionary column builds the arena from the
+/// codes and drops the dictionary.
 class ColumnVector {
  public:
   explicit ColumnVector(ColumnType type = ColumnType::kString);
@@ -35,13 +43,15 @@ class ColumnVector {
   size_t NullCount() const { return size_ - validity_.CountOnes(); }
 
   /// Typed accessors; defined only when IsValid(i) and type matches
-  /// (NULL slots return the placeholder).
+  /// (NULL slots return the placeholder: 0, 0.0, false, or an empty
+  /// string; on a dictionary column a NULL slot reads entry 0).
   int64_t GetInt64(size_t i) const { return ints_[i]; }
   double GetDouble(size_t i) const { return doubles_[i]; }
   bool GetBool(size_t i) const { return bools_.Get(i); }
   std::string_view GetString(size_t i) const {
-    return std::string_view(buffer_).substr(offsets_[i],
-                                            offsets_[i + 1] - offsets_[i]);
+    if (has_dictionary()) return dict_values_[dict_codes_[i]];
+    return std::string_view(buffer_.data() + offsets_[i],
+                            offsets_[i + 1] - offsets_[i]);
   }
 
   /// Numeric value as double (int64 widened); only for numeric columns.
@@ -68,19 +78,16 @@ class ColumnVector {
   /// past size() is zero, NULL slots are false.
   uint64_t BoolWord(size_t wi) const { return bools_.word(wi); }
 
-  // ---- Dictionary view (kString columns decoded from dictionary
+  // ---- Dictionary form (kString columns decoded from dictionary
   // encoding; see columnar/encoding.h) ----
   // When present, dict_codes()[i] indexes dict_values() for every row
   // (NULL rows carry code 0; validity masks them), letting equality
-  // kernels compare small integers instead of bytes. Any append drops the
-  // view — it is a decode-time acceleration structure, not state the
-  // writer maintains.
+  // kernels compare small integers instead of bytes. The column then has
+  // no arena: offsets() and buffer() are empty, and only the decoder
+  // creates this form. Any append converts it to the arena form.
   bool has_dictionary() const { return !dict_values_.empty(); }
   const std::vector<uint32_t>& dict_codes() const { return dict_codes_; }
   const std::vector<std::string>& dict_values() const { return dict_values_; }
-  /// Installs the dictionary view; codes.size() must equal size().
-  void SetDictionary(std::vector<uint32_t> codes,
-                     std::vector<std::string> values);
 
   /// Deep equality (type, validity, and valid values).
   bool Equals(const ColumnVector& other) const;
@@ -104,7 +111,13 @@ class ColumnVector {
   std::vector<uint32_t> dict_codes_;
   std::vector<std::string> dict_values_;
 
+  /// Converts a dictionary column to the arena form; no-op otherwise.
   void DropDictionary();
+
+  // The decoder installs whole arrays (validity, values, offsets and
+  // arena, or codes and dictionary) instead of appending row by row.
+  friend Result<ColumnVector> DecodeColumn(std::string_view buffer,
+                                           size_t* offset);
 };
 
 }  // namespace ciao::columnar

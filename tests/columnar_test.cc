@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "columnar/encoding.h"
@@ -8,6 +10,7 @@
 #include "columnar/json_converter.h"
 #include "columnar/record_batch.h"
 #include "columnar/schema.h"
+#include "columnar/wire.h"
 #include "common/crc32.h"
 #include "common/random.h"
 #include "json/parser.h"
@@ -596,6 +599,523 @@ TEST(TableFileTest, GroupedWriterRejectsInvalidLayout) {
   TableWriter writer(batch.schema(), bad);
   EXPECT_TRUE(
       writer.AppendRowGroup(batch, BitVectorSet()).IsInvalidArgument());
+}
+
+// ---------- Whole-array decoder: contract ----------
+
+/// Byte offset of an encoded column's payload: the u8 type and encoding
+/// bytes, the u64 row count, then the serialized validity.
+size_t PayloadOffset(size_t rows) {
+  return 2 + 8 + BitVector::SerializedBytes(rows);
+}
+
+/// `rows` rows of `type`, each NULL with probability `null_share`.
+/// Strings draw from `distinct` values, or are all different when
+/// `distinct` is 0.
+ColumnVector ContractColumn(ColumnType type, size_t rows, double null_share,
+                            size_t distinct, Rng* rng) {
+  ColumnVector col(type);
+  for (size_t i = 0; i < rows; ++i) {
+    if (rng->NextBool(null_share)) {
+      col.AppendNull();
+      continue;
+    }
+    switch (type) {
+      case ColumnType::kInt64:
+        col.AppendInt64(rng->NextInt(-(int64_t{1} << 40), int64_t{1} << 40));
+        break;
+      case ColumnType::kDouble:
+        col.AppendDouble(rng->NextDouble() * 2e6 - 1e6);
+        break;
+      case ColumnType::kBool:
+        col.AppendBool(rng->NextBool());
+        break;
+      case ColumnType::kString:
+        if (distinct == 0) {
+          col.AppendString("unique_" + std::to_string(i));
+        } else {
+          col.AppendString("v" + std::to_string(rng->NextBounded(distinct)));
+        }
+        break;
+    }
+  }
+  return col;
+}
+
+/// NULL slots hold the documented placeholders: 0, 0.0, false, and an
+/// empty string (code 0 on a dictionary column).
+void ExpectNullPlaceholders(const ColumnVector& col) {
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (col.IsValid(i)) continue;
+    switch (col.type()) {
+      case ColumnType::kInt64:
+        EXPECT_EQ(col.int_data()[i], 0) << "row " << i;
+        break;
+      case ColumnType::kDouble:
+        EXPECT_EQ(col.double_data()[i], 0.0) << "row " << i;
+        EXPECT_FALSE(std::signbit(col.double_data()[i])) << "row " << i;
+        break;
+      case ColumnType::kBool:
+        EXPECT_FALSE(col.GetBool(i)) << "row " << i;
+        break;
+      case ColumnType::kString:
+        if (col.has_dictionary()) {
+          EXPECT_EQ(col.dict_codes()[i], 0u) << "row " << i;
+        } else {
+          EXPECT_EQ(col.GetString(i), "") << "row " << i;
+        }
+        break;
+    }
+  }
+  if (col.type() == ColumnType::kBool) {
+    for (size_t wi = 0; wi * 64 < col.size(); ++wi) {
+      EXPECT_EQ(col.BoolWord(wi) & ~col.ValidityWord(wi), 0u) << "word " << wi;
+    }
+  }
+}
+
+TEST(DecoderContractTest, RoundTripsEveryTypeRowCountAndNullShare) {
+  Rng rng(131);
+  size_t plain_strings = 0;
+  size_t narrow_dictionaries = 0;
+  size_t wide_dictionaries = 0;
+  const std::vector<std::pair<ColumnType, size_t>> shapes = {
+      {ColumnType::kInt64, 0},   {ColumnType::kDouble, 0},
+      {ColumnType::kBool, 0},    {ColumnType::kString, 0},
+      {ColumnType::kString, 8},  {ColumnType::kString, 300}};
+  for (const auto& [type, distinct] : shapes) {
+    for (const size_t rows : {0u, 1u, 63u, 64u, 65u, 500u, 4097u}) {
+      for (const double null_share : {0.0, 0.3, 1.0}) {
+        SCOPED_TRACE(std::string(ColumnTypeName(type)) + " distinct=" +
+                     std::to_string(distinct) + " rows=" +
+                     std::to_string(rows) +
+                     " null_share=" + std::to_string(null_share));
+        const ColumnVector col =
+            ContractColumn(type, rows, null_share, distinct, &rng);
+        std::string buf;
+        EncodeColumn(col, &buf);
+        size_t offset = 0;
+        auto decoded = DecodeColumn(buf, &offset);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        EXPECT_EQ(offset, buf.size());
+        ASSERT_EQ(decoded->size(), rows);
+        EXPECT_TRUE(decoded->validity() == col.validity());
+        EXPECT_TRUE(decoded->Equals(col));
+        ExpectNullPlaceholders(*decoded);
+
+        // The decoded column writes the bytes it was read from.
+        std::string again;
+        EncodeColumn(*decoded, &again);
+        EXPECT_EQ(again, buf);
+
+        if (type != ColumnType::kString) continue;
+        if (static_cast<Encoding>(buf[1]) == Encoding::kPlain) {
+          EXPECT_FALSE(decoded->has_dictionary());
+          ++plain_strings;
+          continue;
+        }
+        // A dictionary column keeps codes and values and has no arena,
+        // unless no row is valid (no entries: an empty arena).
+        ASSERT_EQ(decoded->has_dictionary(), col.NullCount() < rows);
+        if (!decoded->has_dictionary()) {
+          EXPECT_EQ(decoded->offsets(), std::vector<uint32_t>(rows + 1, 0));
+          continue;
+        }
+        EXPECT_TRUE(decoded->offsets().empty());
+        EXPECT_TRUE(decoded->buffer().empty());
+        EXPECT_EQ(decoded->dict_codes().size(), rows);
+        if (decoded->dict_values().size() > 0xFF) {
+          ++wide_dictionaries;
+        } else {
+          ++narrow_dictionaries;
+        }
+      }
+    }
+  }
+  EXPECT_GT(plain_strings, 0u);
+  EXPECT_GT(narrow_dictionaries, 0u);
+  EXPECT_GT(wide_dictionaries, 0u) << "no column got 2-byte codes";
+}
+
+TEST(DecoderContractTest, NullSlotsReadPlaceholdersWhateverTheBytes) {
+  // The encoder writes placeholders into NULL slots; a decoder must not
+  // depend on it. Overwrite every NULL slot's payload and decode.
+  Rng rng(133);
+  const size_t rows = 130;
+  for (const ColumnType type :
+       {ColumnType::kInt64, ColumnType::kDouble, ColumnType::kBool}) {
+    SCOPED_TRACE(ColumnTypeName(type));
+    const ColumnVector col = ContractColumn(type, rows, 0.3, 0, &rng);
+    ASSERT_GT(col.NullCount(), 0u);
+    std::string buf;
+    EncodeColumn(col, &buf);
+    const size_t payload = PayloadOffset(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      if (col.IsValid(i)) continue;
+      if (type == ColumnType::kBool) {
+        // [u64 size][words]: set the payload bit of the NULL row.
+        buf[payload + 8 + i / 8] |= static_cast<char>(1u << (i % 8));
+      } else {
+        std::memset(buf.data() + payload + i * 8, 0xA5, 8);
+      }
+    }
+    size_t offset = 0;
+    auto decoded = DecodeColumn(buf, &offset);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded->Equals(col));
+    ExpectNullPlaceholders(*decoded);
+  }
+
+  // Dictionary codes: a NULL row may carry any code, in range or not.
+  const ColumnVector strings = ContractColumn(ColumnType::kString, rows, 0.3,
+                                              4, &rng);
+  std::string buf;
+  EncodeColumn(strings, &buf);
+  ASSERT_EQ(static_cast<Encoding>(buf[1]), Encoding::kDictionary);
+  const size_t codes = buf.size() - rows;  // 1-byte codes end the column
+  for (size_t i = 0; i < rows; ++i) {
+    if (!strings.IsValid(i)) buf[codes + i] = static_cast<char>(0xEE);
+  }
+  size_t offset = 0;
+  auto decoded = DecodeColumn(buf, &offset);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(decoded->has_dictionary());
+  EXPECT_TRUE(decoded->Equals(strings));
+  ExpectNullPlaceholders(*decoded);
+}
+
+TEST(DecoderContractTest, AppendsToDecodedDictionaryColumnMatchPlainColumn) {
+  Rng rng(137);
+  const ColumnVector original =
+      ContractColumn(ColumnType::kString, 200, 0.3, 8, &rng);
+  std::string buf;
+  EncodeColumn(original, &buf);
+  ASSERT_EQ(static_cast<Encoding>(buf[1]), Encoding::kDictionary);
+  size_t offset = 0;
+  auto decoded = DecodeColumn(buf, &offset);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(decoded->has_dictionary());
+
+  // The first append may be either kind; both must build the arena that
+  // appending the same strings row by row builds.
+  for (const bool null_first : {false, true}) {
+    SCOPED_TRACE(null_first ? "AppendNull first" : "AppendString first");
+    ColumnVector plain = original;
+    ColumnVector appended = *decoded;
+    for (ColumnVector* col : {&plain, &appended}) {
+      if (null_first) col->AppendNull();
+      col->AppendString("v3");
+      col->AppendNull();
+      col->AppendString("not-in-dictionary");
+      col->AppendString("");
+    }
+    EXPECT_FALSE(appended.has_dictionary());
+    EXPECT_TRUE(appended.dict_codes().empty());
+    ASSERT_EQ(appended.size(), plain.size());
+    EXPECT_TRUE(appended.validity() == plain.validity());
+    for (size_t i = 0; i < plain.size(); ++i) {
+      if (!plain.IsValid(i)) continue;
+      EXPECT_EQ(appended.GetString(i), plain.GetString(i)) << "row " << i;
+    }
+    EXPECT_EQ(appended.offsets(), plain.offsets());
+    EXPECT_EQ(appended.buffer(), plain.buffer());
+  }
+}
+
+/// Writes one column's bytes by hand: a dictionary column with the given
+/// validity, entries, code width and codes. The encoder never writes some
+/// of these shapes (fewer than 16 rows, codes out of range).
+std::string DictionaryColumnBytes(const std::vector<bool>& valid,
+                                  const std::vector<std::string>& entries,
+                                  uint8_t code_width,
+                                  const std::vector<uint32_t>& codes) {
+  std::string out;
+  wire::PutU8(static_cast<uint8_t>(ColumnType::kString), &out);
+  wire::PutU8(static_cast<uint8_t>(Encoding::kDictionary), &out);
+  wire::PutU64(valid.size(), &out);
+  BitVector validity(valid.size());
+  for (size_t i = 0; i < valid.size(); ++i) validity.Set(i, valid[i]);
+  validity.SerializeTo(&out);
+  wire::PutU32(static_cast<uint32_t>(entries.size()), &out);
+  for (const std::string& entry : entries) wire::PutBytes(entry, &out);
+  wire::PutU8(code_width, &out);
+  for (const uint32_t code : codes) {
+    wire::PutU8(static_cast<uint8_t>(code & 0xFF), &out);
+    if (code_width == 2) wire::PutU8(static_cast<uint8_t>(code >> 8), &out);
+  }
+  return out;
+}
+
+TEST(DecoderContractTest, DictionaryColumnReencodesAsPlainStrings) {
+  // Three rows are below the encoder's dictionary floor, so re-encoding
+  // a decoded dictionary column writes plain strings: the same bytes as
+  // the column appended row by row.
+  const std::string bytes =
+      DictionaryColumnBytes({true, false, true}, {"a", "bc"}, 1, {1, 0, 0});
+  size_t offset = 0;
+  auto decoded = DecodeColumn(bytes, &offset);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(decoded->has_dictionary());
+  EXPECT_EQ(decoded->GetString(0), "bc");
+  EXPECT_EQ(decoded->GetString(2), "a");
+
+  ColumnVector appended(ColumnType::kString);
+  appended.AppendString("bc");
+  appended.AppendNull();
+  appended.AppendString("a");
+  std::string expected;
+  EncodeColumn(appended, &expected);
+  ASSERT_EQ(static_cast<Encoding>(expected[1]), Encoding::kPlain);
+  std::string reencoded;
+  EncodeColumn(*decoded, &reencoded);
+  EXPECT_EQ(reencoded, expected);
+}
+
+TEST(DecoderContractTest, TableWriterReencodesDecodedBatchesByteForByte) {
+  // The single-group pass-through of RewriteSegments and
+  // EstimateColumnBytes re-encode decoded batches; both v3 (per-column)
+  // and v4 (grouped) bodies must come out unchanged.
+  Rng rng(139);
+  const size_t rows = 1000;
+  Schema schema({{"id", ColumnType::kInt64},
+                 {"score", ColumnType::kDouble},
+                 {"flag", ColumnType::kBool},
+                 {"level", ColumnType::kString},
+                 {"code", ColumnType::kString},
+                 {"msg", ColumnType::kString}});
+  RecordBatch batch(schema);
+  const std::vector<size_t> distinct = {0, 0, 0, 5, 400, 0};
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    *batch.mutable_column(c) = ContractColumn(schema.field(c).type, rows, 0.1,
+                                              distinct[c], &rng);
+  }
+  BitVectorSet annotations(2, rows);
+  for (size_t r = 0; r < rows; ++r) {
+    annotations.mutable_vector(0)->Set(r, rng.NextBool());
+    annotations.mutable_vector(1)->Set(r, rng.NextBool(0.1));
+  }
+  ColumnGroupLayout mined;
+  mined.groups = {{0, 3}, {1, 2, 4, 5}};
+  for (const ColumnGroupLayout& layout :
+       {ColumnGroupLayout{}, ColumnGroupLayout::SingleGroup(6),
+        ColumnGroupLayout::PerColumn(6), mined}) {
+    SCOPED_TRACE("layout groups=" + std::to_string(layout.groups.size()));
+    TableWriter writer(schema, layout);
+    ASSERT_TRUE(writer.AppendRowGroup(batch, annotations).ok());
+    const std::string original = std::move(writer).Finish();
+
+    auto reader = TableReader::OpenBorrowed(original);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    auto decoded = reader->ReadBatch(0);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded->column(3).has_dictionary());
+    ASSERT_TRUE(decoded->column(4).has_dictionary());
+    EXPECT_GT(decoded->column(4).dict_values().size(), 0xFFu)
+        << "want 2-byte codes";
+    EXPECT_FALSE(decoded->column(5).has_dictionary());
+
+    TableWriter again(schema, layout);
+    ASSERT_TRUE(again.AppendRowGroup(*decoded, annotations).ok());
+    EXPECT_EQ(std::move(again).Finish(), original);
+  }
+}
+
+// ---------- Whole-array decoder: corruption ----------
+
+TEST(DecoderContractTest, DictionaryCountBeyondBytesIsCorruption) {
+  // A flipped high byte of the entry count once sized a vector of
+  // billions of entries (std::bad_alloc) before any entry was read.
+  Rng rng(141);
+  const ColumnVector col = ContractColumn(ColumnType::kString, 64, 0.0, 4,
+                                          &rng);
+  std::string buf;
+  EncodeColumn(col, &buf);
+  ASSERT_EQ(static_cast<Encoding>(buf[1]), Encoding::kDictionary);
+  buf[PayloadOffset(64) + 3] ^= static_cast<char>(0xFF);
+  size_t offset = 0;
+  EXPECT_TRUE(DecodeColumn(buf, &offset).status().IsCorruption());
+}
+
+TEST(DecoderContractTest, CodeOutOfRangeOnValidRowIsCorruption) {
+  for (const uint8_t width : {1, 2}) {
+    SCOPED_TRACE("code width " + std::to_string(width));
+    const uint32_t too_big = width == 1 ? 2 : 0x0102;
+    size_t offset = 0;
+    EXPECT_TRUE(DecodeColumn(DictionaryColumnBytes({true, true, true},
+                                                   {"a", "b"}, width,
+                                                   {0, too_big, 1}),
+                             &offset)
+                    .status()
+                    .IsCorruption());
+    // The same code on a NULL row is ignored and reads as code 0.
+    offset = 0;
+    auto decoded = DecodeColumn(
+        DictionaryColumnBytes({true, false, true}, {"a", "b"}, width,
+                              {0, too_big, 1}),
+        &offset);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->dict_codes(), (std::vector<uint32_t>{0, 0, 1}));
+    EXPECT_EQ(decoded->GetString(2), "b");
+  }
+  // No entries: any valid row is out of range.
+  size_t offset = 0;
+  EXPECT_TRUE(DecodeColumn(DictionaryColumnBytes({false, true}, {}, 1, {0, 0}),
+                           &offset)
+                  .status()
+                  .IsCorruption());
+}
+
+TEST(DecoderContractTest, DecreasingOffsetIsCorruption) {
+  ColumnVector col(ColumnType::kString);
+  col.AppendString("ab");
+  col.AppendString("cd");
+  col.AppendString("ef");
+  std::string buf;
+  EncodeColumn(col, &buf);
+  ASSERT_EQ(static_cast<Encoding>(buf[1]), Encoding::kPlain);
+  // Offsets 0,2,4,6 -> 0,5,4,6: first and last still hold.
+  PutU32At(&buf, PayloadOffset(col.size()) + 4, 5);
+  size_t offset = 0;
+  EXPECT_TRUE(DecodeColumn(buf, &offset).status().IsCorruption());
+}
+
+TEST(DecoderContractTest, BytesInNullRowAreCorruption) {
+  ColumnVector col(ColumnType::kString);
+  col.AppendString("ab");
+  col.AppendNull();
+  col.AppendString("cd");
+  std::string buf;
+  EncodeColumn(col, &buf);
+  ASSERT_EQ(static_cast<Encoding>(buf[1]), Encoding::kPlain);
+  // Offsets 0,2,2,4 -> 0,2,3,4: the NULL row now spans one byte.
+  PutU32At(&buf, PayloadOffset(col.size()) + 8, 3);
+  size_t offset = 0;
+  EXPECT_TRUE(DecodeColumn(buf, &offset).status().IsCorruption());
+}
+
+// ---------- Deterministic mutation test for DecodeColumn ----------
+
+/// Seed columns from the encoder: every type, plain strings, dictionary
+/// strings with 1- and 2-byte codes, all-NULL and 0-row columns.
+std::vector<std::string> MutationSeeds() {
+  Rng rng(149);
+  std::vector<ColumnVector> columns;
+  for (const ColumnType type :
+       {ColumnType::kInt64, ColumnType::kDouble, ColumnType::kBool}) {
+    columns.push_back(ContractColumn(type, 70, 0.3, 0, &rng));
+    columns.push_back(ContractColumn(type, 20, 1.0, 0, &rng));
+    columns.emplace_back(type);
+  }
+  columns.push_back(ContractColumn(ColumnType::kString, 40, 0.3, 0, &rng));
+  columns.push_back(ContractColumn(ColumnType::kString, 70, 0.3, 4, &rng));
+  // 260 distinct values, each on at least one valid row: 2-byte codes.
+  ColumnVector wide(ColumnType::kString);
+  for (size_t i = 0; i < 600; ++i) {
+    if (i % 7 == 0) {
+      wide.AppendNull();
+    } else {
+      wide.AppendString("w" + std::to_string(i % 260));
+    }
+  }
+  columns.push_back(std::move(wide));
+  columns.push_back(ContractColumn(ColumnType::kString, 20, 1.0, 4, &rng));
+  columns.emplace_back(ColumnType::kString);
+
+  std::vector<std::string> seeds;
+  for (const ColumnVector& col : columns) {
+    seeds.emplace_back();
+    EncodeColumn(col, &seeds.back());
+  }
+  return seeds;
+}
+
+/// The mutation property: DecodeColumn returns a non-OK Status, or a
+/// column of the declared row count that re-encodes and decodes back to
+/// the same column. Returns a description of the violation, or "";
+/// `*decoded_ok` says whether the mutant decoded.
+std::string MutantViolation(const std::string& bytes, bool* decoded_ok) {
+  size_t offset = 0;
+  Result<ColumnVector> decoded = DecodeColumn(bytes, &offset);
+  *decoded_ok = decoded.ok();
+  if (!decoded.ok()) return "";
+  if (bytes.size() < 10) return "decoded a buffer shorter than the header";
+  uint64_t declared = 0;
+  std::memcpy(&declared, bytes.data() + 2, 8);
+  if (decoded->size() != declared) return "row count != declared";
+  if (offset > bytes.size()) return "offset past the buffer";
+  std::string again;
+  EncodeColumn(*decoded, &again);
+  size_t again_offset = 0;
+  Result<ColumnVector> round = DecodeColumn(again, &again_offset);
+  if (!round.ok()) return "re-encoded bytes fail: " + round.status().ToString();
+  if (again_offset != again.size()) return "re-encoded bytes not consumed";
+  // Bytes, not Equals: a flipped type byte can turn int64 payloads into
+  // NaN doubles, which compare unequal to themselves.
+  std::string twice;
+  EncodeColumn(*round, &twice);
+  if (twice != again) return "column changed through a round trip";
+  if (round->size() != decoded->size()) return "round trip changed size";
+  return "";
+}
+
+TEST(DecodeColumnMutationTest, EveryMutantFailsCleanlyOrRoundTrips) {
+  const std::vector<std::string> seeds = MutationSeeds();
+  // The seeds cover both string encodings and both code widths.
+  size_t dictionary_seeds = 0;
+  for (const std::string& seed : seeds) {
+    dictionary_seeds +=
+        static_cast<Encoding>(seed[1]) == Encoding::kDictionary ? 1 : 0;
+  }
+  ASSERT_GE(dictionary_seeds, 3u);
+
+  constexpr size_t kEdgeBytes = 64;
+  constexpr size_t kSplicesPerSeed = 256;
+  Rng rng(151);
+  size_t mutants = 0;
+  size_t decoded_ok = 0;
+  size_t violations = 0;
+  auto check = [&](const std::string& mutant, const std::string& what) {
+    ++mutants;
+    bool ok = false;
+    const std::string violation = MutantViolation(mutant, &ok);
+    decoded_ok += ok ? 1 : 0;
+    if (!violation.empty() && ++violations <= 5) {
+      ADD_FAILURE() << what << ": " << violation;
+    }
+  };
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    const std::string& seed = seeds[s];
+    const std::string tag = "seed " + std::to_string(s);
+    check(seed, tag);
+    // Every single-bit flip in the first and last kEdgeBytes bytes.
+    for (size_t pos = 0; pos < seed.size(); ++pos) {
+      if (pos >= kEdgeBytes && pos + kEdgeBytes < seed.size()) continue;
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutant = seed;
+        mutant[pos] ^= static_cast<char>(1 << bit);
+        check(mutant, tag + " flip byte " + std::to_string(pos) + " bit " +
+                          std::to_string(bit));
+      }
+    }
+    // Every truncation.
+    for (size_t len = 0; len < seed.size(); ++len) {
+      check(seed.substr(0, len), tag + " truncated to " + std::to_string(len));
+    }
+    // Seeded splices: replace a range of up to 16 bytes by up to 8
+    // random bytes.
+    for (size_t k = 0; k < kSplicesPerSeed; ++k) {
+      const size_t begin = rng.NextBounded(seed.size() + 1);
+      const size_t span = std::min<size_t>(16, seed.size() - begin);
+      const size_t end = begin + rng.NextBounded(span + 1);
+      std::string insert(rng.NextBounded(9), '\0');
+      for (char& c : insert) c = static_cast<char>(rng.NextBounded(256));
+      check(seed.substr(0, begin) + insert + seed.substr(end),
+            tag + " splice " + std::to_string(k));
+    }
+  }
+  EXPECT_EQ(violations, 0u) << "of " << mutants << " mutants";
+  // Some mutants must still decode, or the property is never exercised.
+  EXPECT_GT(decoded_ok, seeds.size());
 }
 
 // ---------- JSON converter ----------
