@@ -2,10 +2,13 @@
 #define CIAO_BENCH_BENCH_REPORT_H_
 
 // Machine-readable bench regression harness. Every hot-path bench merges
-// its results into one JSON file (default BENCH_hotpath.json in the
-// working directory, overridable via CIAO_BENCH_JSON) keyed by
-// "<binary>/<benchmark>", so successive PRs build a before/after
-// trajectory a script — or CI — can diff without scraping console text.
+// its results into one JSON file (default BENCH_hotpath.json beside the
+// running executable, e.g. build/bench/ for the benches; overridable via
+// CIAO_BENCH_JSON) keyed by "<binary>/<benchmark>", so successive PRs
+// build a before/after trajectory a script — or CI — can diff without
+// scraping console text. Running a bench from the repository root thus
+// never rewrites the checked-in BENCH_hotpath.json; refresh that file by
+// pointing CIAO_BENCH_JSON at it.
 //
 // File shape:
 //   {
@@ -22,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -36,10 +40,18 @@ namespace ciao::bench {
 /// Metric map of one benchmark run (name -> value).
 using BenchMetrics = std::map<std::string, double>;
 
-/// Path of the merged report file.
+/// Path of the merged report file: CIAO_BENCH_JSON when set, else
+/// BENCH_hotpath.json in the directory of the running executable
+/// (/proc/self/exe). Where that link cannot be read, the working
+/// directory.
 inline std::string ReportPath() {
   const char* env = std::getenv("CIAO_BENCH_JSON");
-  return env != nullptr && *env != '\0' ? env : "BENCH_hotpath.json";
+  if (env != nullptr && *env != '\0') return env;
+  std::error_code ec;
+  const std::filesystem::path exe =
+      std::filesystem::read_symlink("/proc/self/exe", ec);
+  if (ec || exe.empty()) return "BENCH_hotpath.json";
+  return (exe.parent_path() / "BENCH_hotpath.json").string();
 }
 
 /// Reads a whole file; empty string when missing/unreadable.

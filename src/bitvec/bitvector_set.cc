@@ -86,66 +86,4 @@ Result<BitVectorSet> BitVectorSet::Deserialize(std::string_view buffer,
   return out;
 }
 
-Result<BitVectorSetView> BitVectorSetView::Parse(std::string_view buffer,
-                                                 size_t* offset) {
-  if (*offset > buffer.size() || buffer.size() - *offset < 4) {
-    return Status::Corruption("BitVectorSetView: truncated count");
-  }
-  uint32_t count = 0;
-  std::memcpy(&count, buffer.data() + *offset, 4);
-  *offset += 4;
-  BitVectorSetView view;
-  view.count_ = count;
-  if (count == 0) return view;
-
-  const size_t left = buffer.size() - *offset;
-  if (left < 8) {
-    return Status::Corruption("BitVectorSetView: truncated size header");
-  }
-  uint64_t n = 0;
-  std::memcpy(&n, buffer.data() + *offset, 8);
-  // Bound the words, then the count, before either multiplication.
-  const uint64_t words = n / 64 + (n % 64 != 0 ? 1 : 0);
-  if (words > (left - 8) / 8) {
-    return Status::Corruption("BitVectorSetView: truncated payload");
-  }
-  view.num_records_ = static_cast<size_t>(n);
-  view.stride_ = 8 + static_cast<size_t>(words) * 8;
-  if (count > left / view.stride_) {
-    return Status::Corruption("BitVectorSetView: truncated payload");
-  }
-  const size_t total = view.stride_ * count;
-  view.payload_ = buffer.substr(*offset, total);
-  *offset += total;
-  return view;
-}
-
-Result<BitVector> BitVectorSetView::Get(uint32_t predicate_id) const {
-  if (predicate_id >= count_) {
-    return Status::OutOfRange("BitVectorSetView: predicate id out of range");
-  }
-  size_t offset = stride_ * predicate_id;
-  CIAO_ASSIGN_OR_RETURN(BitVector v,
-                        BitVector::Deserialize(payload_, &offset));
-  // The stride was derived from vector 0; a shorter vector mid-set would
-  // make every later offset garbage, so reject it here.
-  if (v.size() != num_records_) {
-    return Status::Corruption("BitVectorSetView: inconsistent vector sizes");
-  }
-  return v;
-}
-
-Result<BitVector> BitVectorSetView::Intersect(
-    const std::vector<uint32_t>& predicate_ids) const {
-  if (predicate_ids.empty()) {
-    return Status::InvalidArgument("Intersect: no predicate ids");
-  }
-  CIAO_ASSIGN_OR_RETURN(BitVector acc, Get(predicate_ids[0]));
-  for (size_t i = 1; i < predicate_ids.size(); ++i) {
-    CIAO_ASSIGN_OR_RETURN(const BitVector v, Get(predicate_ids[i]));
-    CIAO_RETURN_IF_ERROR(acc.AndWith(v));
-  }
-  return acc;
-}
-
 }  // namespace ciao

@@ -59,41 +59,6 @@ class BitVectorSet {
   std::vector<BitVector> vectors_;
 };
 
-/// Borrowed zero-decode view over a serialized BitVectorSet. The wire
-/// format is fixed-stride (every vector is the same length), so a view
-/// records just the payload span and decodes *only* the vectors a query
-/// actually intersects — the skipping scan touches 1-3 of potentially
-/// hundreds of pushed predicates per row group, and eagerly
-/// materializing all of them per (query, group) dominates ReadMeta time.
-/// The underlying buffer must outlive the view.
-class BitVectorSetView {
- public:
-  BitVectorSetView() = default;
-
-  /// Parses the count and first-vector header at `*offset`, validates the
-  /// span, and advances `*offset` past the whole set without touching the
-  /// payload words.
-  static Result<BitVectorSetView> Parse(std::string_view buffer,
-                                        size_t* offset);
-
-  size_t num_predicates() const { return count_; }
-  size_t num_records() const { return num_records_; }
-
-  /// Decodes one vector (bounds- and length-checked).
-  Result<BitVector> Get(uint32_t predicate_id) const;
-
-  /// AND of the vectors for the given ids, decoding each exactly once.
-  /// Semantically identical to materializing the set and calling
-  /// BitVectorSet::Intersect.
-  Result<BitVector> Intersect(const std::vector<uint32_t>& predicate_ids) const;
-
- private:
-  std::string_view payload_;  // count*stride bytes, headers included
-  size_t count_ = 0;
-  size_t num_records_ = 0;
-  size_t stride_ = 0;  // 8-byte size header + payload words
-};
-
 }  // namespace ciao
 
 #endif  // CIAO_BITVEC_BITVECTOR_SET_H_

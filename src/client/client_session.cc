@@ -23,6 +23,10 @@ Status ClientSession::SendRecords(const std::vector<std::string>& records) {
 }
 
 Status ClientSession::SendChunk(json::JsonChunk chunk) {
+  return transport_->Send(PrepareChunk(std::move(chunk)));
+}
+
+std::string ClientSession::PrepareChunk(json::JsonChunk chunk) {
   ChunkMessage msg;
   msg.predicate_ids = filter_.evaluated_ids();
   // The chunk's evaluated-predicate mask: which of the registry's
@@ -32,7 +36,7 @@ Status ClientSession::SendChunk(json::JsonChunk chunk) {
   msg.chunk = std::move(chunk);
   std::string payload;
   msg.SerializeTo(&payload);
-  return transport_->Send(std::move(payload));
+  return payload;
 }
 
 }  // namespace ciao

@@ -30,6 +30,11 @@ class ClientSession {
   /// transport queue without a full-chunk copy.
   Status SendChunk(json::JsonChunk chunk);
 
+  /// Filters one pre-built chunk and returns its serialized ChunkMessage
+  /// without sending it: SendChunk's first half, for a caller that
+  /// orders payloads before they reach the transport (the fleet).
+  std::string PrepareChunk(json::JsonChunk chunk);
+
   /// Assembles records [start, end) into a chunk with an exact buffer
   /// reservation; shared by SendRecords and the fleet's chunk scheduler
   /// so their chunk contents stay byte-identical.

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "client/chunk_scheduler.h"
@@ -10,6 +13,51 @@
 #include "costmodel/hardware_profile.h"
 
 namespace ciao {
+
+namespace {
+
+/// Hands serialized chunks to the transport in chunk-index order, in
+/// whatever order the clients finish them, so a single loader publishes
+/// segments (and sideline records) in the same order on every run. A
+/// worker parks its payload; whoever finds the next expected index
+/// parked sends the consecutive run, outside the lock. No worker waits
+/// for another: a chunk still being prefiltered, or handed back by a
+/// failed client, only holds back the payloads behind it until its new
+/// owner delivers it.
+class InOrderSender {
+ public:
+  explicit InOrderSender(Transport* transport) : transport_(transport) {}
+
+  Status Submit(uint64_t index, std::string payload) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!error_.ok()) return error_;
+    parked_.emplace(index, std::move(payload));
+    if (sending_) return Status::OK();  // the active sender picks it up
+    sending_ = true;
+    while (error_.ok() && !parked_.empty() &&
+           parked_.begin()->first == next_) {
+      std::string payload_out = std::move(parked_.begin()->second);
+      parked_.erase(parked_.begin());
+      ++next_;
+      lock.unlock();
+      Status sent = transport_->Send(std::move(payload_out));
+      lock.lock();
+      if (!sent.ok()) error_ = std::move(sent);
+    }
+    sending_ = false;
+    return error_;
+  }
+
+ private:
+  Transport* transport_;
+  std::mutex mu_;
+  std::map<uint64_t, std::string> parked_;
+  uint64_t next_ = 0;
+  bool sending_ = false;
+  Status error_;
+};
+
+}  // namespace
 
 BudgetAllocation AllocateForBudget(const PredicateRegistry& registry,
                                    double budget_us,
@@ -124,16 +172,25 @@ Status FleetScheduler::SendRecords(const std::vector<std::string>& records) {
   steals_ = 0;
   if (num_chunks == 0) return Status::OK();
   ChunkScheduler scheduler(workers, options_.work_stealing);
-  // Seed round-robin: chunk c belongs to client c % workers, exactly the
-  // static partition of the old ClientPool. Stealing (or failover)
-  // redistributes from here.
+  // Seed round-robin, cheapest predicate set first: chunk c belongs to
+  // the (c % workers)-th client in ascending allocation cost. Chunks
+  // reach the transport in index order, so the first chunk of each round
+  // gates the loader; giving it to the client that prefilters fastest
+  // lets loading start while the dearer clients are still filtering.
+  // Stealing (or failover) redistributes from here.
+  std::vector<size_t> by_cost(workers);
+  std::iota(by_cost.begin(), by_cost.end(), size_t{0});
+  std::stable_sort(by_cost.begin(), by_cost.end(), [&](size_t a, size_t b) {
+    return allocations_[a].cost_us < allocations_[b].cost_us;
+  });
   for (size_t c = 0; c < num_chunks; ++c) {
     const size_t start = c * chunk_size;
-    scheduler.Push(c % workers,
+    scheduler.Push(by_cost[c % workers],
                    ChunkTask{c, start, std::min(records.size(),
                                                 start + chunk_size)});
   }
 
+  InOrderSender sender(transport_);
   std::vector<Status> statuses(workers);
   std::vector<std::thread> threads;
   threads.reserve(workers);
@@ -155,8 +212,9 @@ Status FleetScheduler::SendRecords(const std::vector<std::string>& records) {
           break;
         }
         const double prefilter_before = session.stats().seconds;
-        Status st = session.SendChunk(
-            ClientSession::BuildChunk(records, task->start, task->end));
+        Status st = sender.Submit(
+            task->index, session.PrepareChunk(ClientSession::BuildChunk(
+                             records, task->start, task->end)));
         if (!st.ok()) {
           // A broken transport cannot be drained by anyone: abort the
           // whole fleet rather than spin the chunk between clients.

@@ -74,14 +74,16 @@ struct FleetOptions {
 ///     predicate subset its budget_us affords (marginal gain / marginal
 ///     cost, batched base+verify decomposition — AllocateForBudget);
 ///  2. a *work-stealing chunk scheduler* seeds the chunk stream
-///     round-robin across the clients but lets fast clients steal from
-///     slow or failed ones, so one straggler no longer gates ingest;
+///     round-robin across the clients, cheapest allocation first, but
+///     lets fast clients steal from slow or failed ones, so one
+///     straggler no longer gates ingest;
 ///  3. every shipped chunk carries its *evaluated-predicate mask*
 ///     (ChunkMessage ids + total), so the server knows exactly which
 ///     bits are trustworthy per chunk — and can complete the rest.
 ///
-/// Chunk contents are byte-identical to the single-client pipeline's;
-/// only the (client, chunk) assignment is dynamic. Speed and failure
+/// Chunk contents are byte-identical to the single-client pipeline's,
+/// and chunks reach the transport in the same (chunk-index) order; only
+/// the (client, chunk) assignment is dynamic. Speed and failure
 /// simulation knobs live in each FleetClientSpec.
 class FleetScheduler {
  public:
@@ -93,8 +95,10 @@ class FleetScheduler {
                  std::vector<FleetClientSpec> specs, FleetOptions options = {});
 
   /// Chunks `records`, runs the fleet (one thread per client), and blocks
-  /// until every chunk is prefiltered and shipped. Returns the first
-  /// client error; fails if every client died with chunks outstanding.
+  /// until every chunk is prefiltered and shipped. Chunks are sent in
+  /// index order: a chunk finished early waits, serialized, until every
+  /// chunk before it has been sent. Returns the first client error; fails
+  /// if every client died with chunks outstanding.
   Status SendRecords(const std::vector<std::string>& records);
 
   size_t num_clients() const { return specs_.size(); }

@@ -1,5 +1,7 @@
 #include "columnar/file_reader.h"
 
+#include <cstring>
+
 #include "columnar/encoding.h"
 #include "columnar/wire.h"
 #include "common/crc32.h"
@@ -71,8 +73,10 @@ Result<TableReader> TableReader::OpenImpl(TableReader reader) {
   if (data.size() < kMagic.size() || data.substr(0, kMagic.size()) != kMagic) {
     return Status::Corruption("columnar file: bad magic");
   }
+  auto framing = std::make_shared<FileFraming>();
+  framing->file_size = data.size();
   size_t offset = kMagic.size();
-  CIAO_ASSIGN_OR_RETURN(reader.schema_, Schema::Deserialize(data, &offset));
+  CIAO_ASSIGN_OR_RETURN(framing->schema, Schema::Deserialize(data, &offset));
 
   wire::Cursor cursor(data, offset);
   while (true) {
@@ -82,7 +86,7 @@ Result<TableReader> TableReader::OpenImpl(TableReader reader) {
     if (marker != kGroupMarker) {
       return Status::Corruption("columnar file: bad group marker");
     }
-    GroupIndex g;
+    RowGroupFraming g;
     uint32_t header_len = 0;
     CIAO_RETURN_IF_ERROR(cursor.ReadU32(&header_len));
     g.header_offset = cursor.position();
@@ -94,11 +98,11 @@ Result<TableReader> TableReader::OpenImpl(TableReader reader) {
     g.body_len = body_len;
     CIAO_RETURN_IF_ERROR(cursor.Skip(body_len));
     CIAO_RETURN_IF_ERROR(cursor.ReadU32(&g.crc));
-    reader.groups_.push_back(g);
+    framing->groups.push_back(g);
   }
   uint32_t declared_groups = 0;
   CIAO_RETURN_IF_ERROR(cursor.ReadU32(&declared_groups));
-  if (declared_groups != reader.groups_.size()) {
+  if (declared_groups != framing->groups.size()) {
     return Status::Corruption("columnar file: footer group count mismatch");
   }
   std::string_view end;
@@ -106,14 +110,25 @@ Result<TableReader> TableReader::OpenImpl(TableReader reader) {
   if (end != kEndMagic) {
     return Status::Corruption("columnar file: bad end magic");
   }
+  reader.framing_ = std::move(framing);
+  return reader;
+}
+
+Result<TableReader> TableReader::FromIndex(const SegmentIndex& index,
+                                           std::string_view file_bytes) {
+  CIAO_RETURN_IF_ERROR(index.Matches(file_bytes));
+  TableReader reader;
+  reader.borrowed_ = file_bytes;
+  reader.checksum_ = ChecksumMode::kTrust;
+  reader.framing_ = index.framing_;
   return reader;
 }
 
 Result<RowGroupMeta> TableReader::ReadMeta(size_t i) const {
-  if (i >= groups_.size()) {
+  if (i >= num_row_groups()) {
     return Status::OutOfRange("ReadMeta: group index out of range");
   }
-  const GroupIndex& g = groups_[i];
+  const RowGroupFraming& g = framing_->groups[i];
   const std::string_view header =
       data().substr(g.header_offset, g.header_len);
   wire::Cursor cursor(header);
@@ -133,48 +148,25 @@ Result<RowGroupMeta> TableReader::ReadMeta(size_t i) const {
   return meta;
 }
 
-Result<RowGroupMetaLite> TableReader::ReadMetaLite(size_t i) const {
-  if (i >= groups_.size()) {
-    return Status::OutOfRange("ReadMeta: group index out of range");
-  }
-  const GroupIndex& g = groups_[i];
-  const std::string_view header =
-      data().substr(g.header_offset, g.header_len);
-  wire::Cursor cursor(header);
-  RowGroupMetaLite meta;
-  CIAO_RETURN_IF_ERROR(cursor.ReadU64(&meta.num_rows));
-  size_t pos = cursor.position();
-  CIAO_ASSIGN_OR_RETURN(meta.annotations,
-                        BitVectorSetView::Parse(header, &pos));
-  cursor = wire::Cursor(header, pos);
-  CIAO_RETURN_IF_ERROR(ParseZoneMaps(&cursor, &meta.zone_maps));
-  CIAO_RETURN_IF_ERROR(ParseMatchCounts(
-      &cursor, meta.annotations.num_predicates(), &meta.match_counts));
-  if (meta.annotations.num_predicates() > 0 &&
-      meta.annotations.num_records() != meta.num_rows) {
-    return Status::Corruption("row group: annotation length mismatch");
-  }
-  return meta;
-}
-
 Result<RecordBatch> TableReader::ReadBatch(size_t i) const {
   CIAO_ASSIGN_OR_RETURN(
       RecordBatch batch,
-      ReadBatchProjected(i, std::vector<bool>(schema_.num_fields(), true)));
+      ReadBatchProjected(i, std::vector<bool>(schema().num_fields(), true)));
   CIAO_RETURN_IF_ERROR(batch.Validate());
   return batch;
 }
 
 Result<RecordBatch> TableReader::ReadBatchProjected(
     size_t i, const std::vector<bool>& wanted, DecodeStats* stats) const {
-  if (i >= groups_.size()) {
+  if (i >= num_row_groups()) {
     return Status::OutOfRange("ReadBatch: group index out of range");
   }
-  if (wanted.size() != schema_.num_fields()) {
+  const Schema& schema = this->schema();
+  if (wanted.size() != schema.num_fields()) {
     return Status::InvalidArgument(
         "ReadBatchProjected: projection mask size != schema");
   }
-  const GroupIndex& g = groups_[i];
+  const RowGroupFraming& g = framing_->groups[i];
   const std::string_view data = this->data();
   const std::string_view header = data.substr(g.header_offset, g.header_len);
   const std::string_view body = data.substr(g.body_offset, g.body_len);
@@ -199,10 +191,10 @@ Result<RecordBatch> TableReader::ReadBatchProjected(
   wire::Cursor cursor(body);
   uint32_t ncols = 0;
   CIAO_RETURN_IF_ERROR(cursor.ReadU32(&ncols));
-  if (ncols != schema_.num_fields()) {
+  if (ncols != schema.num_fields()) {
     return Status::Corruption("row group: column count != schema");
   }
-  RecordBatch batch(schema_);
+  RecordBatch batch(schema);
   for (uint32_t c = 0; c < ncols; ++c) {
     // Columns are length-prefixed, so unwanted ones are skipped without
     // decoding — the point of columnar layouts.
@@ -211,7 +203,7 @@ Result<RecordBatch> TableReader::ReadBatchProjected(
     if (!wanted[c]) continue;
     size_t pos = 0;
     CIAO_ASSIGN_OR_RETURN(ColumnVector col, DecodeColumn(encoded, &pos));
-    if (col.type() != schema_.field(c).type) {
+    if (col.type() != schema.field(c).type) {
       return Status::Corruption("row group: column type != schema");
     }
     *batch.mutable_column(c) = std::move(col);
@@ -226,12 +218,13 @@ Result<RecordBatch> TableReader::ReadBatchProjected(
 Result<RecordBatch> TableReader::ReadGroupedBody(std::string_view body,
                                                  const std::vector<bool>& wanted,
                                                  DecodeStats* stats) const {
+  const Schema& schema = this->schema();
   wire::Cursor cursor(body);
   uint32_t tag = 0;
   CIAO_RETURN_IF_ERROR(cursor.ReadU32(&tag));
   uint32_t ncols = 0;
   CIAO_RETURN_IF_ERROR(cursor.ReadU32(&ncols));
-  if (ncols != schema_.num_fields()) {
+  if (ncols != schema.num_fields()) {
     return Status::Corruption("row group: column count != schema");
   }
   uint32_t nchunks = 0;
@@ -283,7 +276,7 @@ Result<RecordBatch> TableReader::ReadGroupedBody(std::string_view body,
     return Status::Corruption("row group: chunk lengths != body length");
   }
 
-  RecordBatch batch(schema_);
+  RecordBatch batch(schema);
   std::vector<bool> installed(ncols, false);
   for (const ChunkEntry& entry : directory) {
     bool touched = false;
@@ -309,7 +302,7 @@ Result<RecordBatch> TableReader::ReadGroupedBody(std::string_view body,
     for (const uint32_t c : entry.columns) {
       const size_t before = pos;
       CIAO_ASSIGN_OR_RETURN(ColumnVector col, DecodeColumn(chunk, &pos));
-      if (col.type() != schema_.field(c).type) {
+      if (col.type() != schema.field(c).type) {
         return Status::Corruption("row group: column type != schema");
       }
       if (installed[c]) {
@@ -332,7 +325,7 @@ Result<RecordBatch> TableReader::ReadGroupedBody(std::string_view body,
 
 Result<uint64_t> TableReader::TotalRows() const {
   uint64_t total = 0;
-  for (size_t i = 0; i < groups_.size(); ++i) {
+  for (size_t i = 0; i < num_row_groups(); ++i) {
     CIAO_ASSIGN_OR_RETURN(RowGroupMeta meta, ReadMeta(i));
     total += meta.num_rows;
   }
@@ -344,13 +337,43 @@ Status TableReader::VerifyAllGroups() const {
   // (v4 grouped bodies additionally carry per-chunk CRCs, but the group
   // CRC already covers those bytes), so one pass proves the entire file.
   const std::string_view data = this->data();
-  for (size_t i = 0; i < groups_.size(); ++i) {
-    const GroupIndex& g = groups_[i];
+  for (size_t i = 0; i < num_row_groups(); ++i) {
+    const RowGroupFraming& g = framing_->groups[i];
     uint32_t crc = Crc32(data.substr(g.header_offset, g.header_len));
     crc = Crc32(data.data() + g.body_offset, g.body_len, crc);
     if (crc != g.crc) {
       return Status::Corruption("columnar file: group " + std::to_string(i) +
                                 " CRC mismatch");
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::shared_ptr<const SegmentIndex>> SegmentIndex::Build(
+    std::string_view file_bytes) {
+  CIAO_ASSIGN_OR_RETURN(
+      const TableReader reader,
+      TableReader::OpenBorrowed(file_bytes, ChecksumMode::kTrust));
+  std::shared_ptr<SegmentIndex> index(new SegmentIndex());
+  index->groups_.reserve(reader.num_row_groups());
+  for (size_t g = 0; g < reader.num_row_groups(); ++g) {
+    CIAO_ASSIGN_OR_RETURN(RowGroupMeta meta, reader.ReadMeta(g));
+    index->groups_.push_back(std::move(meta));
+  }
+  index->framing_ = reader.framing_;
+  return std::shared_ptr<const SegmentIndex>(std::move(index));
+}
+
+Status SegmentIndex::Matches(std::string_view file_bytes) const {
+  if (file_bytes.size() != framing_->file_size) {
+    return Status::Corruption("segment index: file size differs");
+  }
+  // Offsets were validated against a file of this very size at Build.
+  for (const RowGroupFraming& g : framing_->groups) {
+    uint32_t crc = 0;
+    std::memcpy(&crc, file_bytes.data() + g.body_offset + g.body_len, 4);
+    if (crc != g.crc) {
+      return Status::Corruption("segment index: group CRC field differs");
     }
   }
   return Status::OK();

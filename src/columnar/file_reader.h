@@ -1,6 +1,7 @@
 #ifndef CIAO_COLUMNAR_FILE_READER_H_
 #define CIAO_COLUMNAR_FILE_READER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,20 +19,6 @@ namespace ciao::columnar {
 struct RowGroupMeta {
   uint64_t num_rows = 0;
   BitVectorSet annotations;
-  std::vector<ZoneMap> zone_maps;
-  /// Per-predicate match popcounts (one per annotation slot); empty when
-  /// the file predates the density summary. See file_writer.h.
-  std::vector<uint32_t> match_counts;
-};
-
-/// RowGroupMeta for the per-query hot path: annotations stay a borrowed
-/// zero-decode view (the skipping scan intersects 1-3 of potentially
-/// hundreds of pushed predicates, and full scans never read them at all),
-/// while num_rows and zone maps — always consulted — are decoded eagerly.
-/// Borrows the reader's bytes; do not outlive it.
-struct RowGroupMetaLite {
-  uint64_t num_rows = 0;
-  BitVectorSetView annotations;
   std::vector<ZoneMap> zone_maps;
   /// Per-predicate match popcounts (one per annotation slot); empty when
   /// the file predates the density summary. See file_writer.h.
@@ -62,6 +49,27 @@ struct DecodeStats {
   uint64_t bytes_wasted = 0;
 };
 
+/// Where one row group sits in a columnar file: its header and body byte
+/// ranges and the CRC stored after the body.
+struct RowGroupFraming {
+  size_t header_offset = 0;
+  size_t header_len = 0;
+  size_t body_offset = 0;
+  size_t body_len = 0;
+  uint32_t crc = 0;
+};
+
+/// A columnar file's parsed framing: what opening a reader validates
+/// (magic, schema, group markers and lengths, footer). Immutable once
+/// parsed, so readers and a SegmentIndex share one copy.
+struct FileFraming {
+  uint64_t file_size = 0;
+  Schema schema;
+  std::vector<RowGroupFraming> groups;
+};
+
+class SegmentIndex;
+
 /// Reads files produced by TableWriter. Opening validates magic/footer/
 /// group framing; column payloads are decoded lazily per row group, with
 /// CRC verification per ChecksumMode.
@@ -75,15 +83,19 @@ class TableReader {
   static Result<TableReader> OpenBorrowed(
       std::string_view file_bytes, ChecksumMode checksum = ChecksumMode::kVerify);
 
-  const Schema& schema() const { return schema_; }
-  size_t num_row_groups() const { return groups_.size(); }
+  /// A kTrust reader over `file_bytes` that shares `index`'s framing and
+  /// parses nothing. Fails with Corruption unless the bytes frame like
+  /// the file the index was built from (SegmentIndex::Matches). The
+  /// bytes must already be verified (a fresh mapping's VerifyAllGroups)
+  /// or writer-produced heap bytes; both must outlive the reader.
+  static Result<TableReader> FromIndex(const SegmentIndex& index,
+                                       std::string_view file_bytes);
+
+  const Schema& schema() const { return framing_->schema; }
+  size_t num_row_groups() const { return framing_->groups.size(); }
 
   /// Decodes only the header (annotations + zone maps) of group `i`.
   Result<RowGroupMeta> ReadMeta(size_t i) const;
-
-  /// Hot-path variant: annotation bitvectors are returned as a lazy view
-  /// instead of being materialized (see RowGroupMetaLite).
-  Result<RowGroupMetaLite> ReadMetaLite(size_t i) const;
 
   /// Decodes the columns of group `i` (CRC-verified).
   Result<RecordBatch> ReadBatch(size_t i) const;
@@ -107,18 +119,13 @@ class TableReader {
   /// CRC-checks every row group (header + body bytes) without decoding a
   /// single column — one linear pass over the file. The disk-resident
   /// scan path runs this once per fresh mmap, after which per-query
-  /// readers open the mapping with ChecksumMode::kTrust: the bytes were
-  /// proven intact at map time and mappings are immutable thereafter.
+  /// readers open the mapping from the segment's index (FromIndex, which
+  /// trusts the checksums): the bytes were proven intact at map time and
+  /// mappings are immutable thereafter.
   Status VerifyAllGroups() const;
 
  private:
-  struct GroupIndex {
-    size_t header_offset = 0;
-    size_t header_len = 0;
-    size_t body_offset = 0;
-    size_t body_len = 0;
-    uint32_t crc = 0;
-  };
+  friend class SegmentIndex;
 
   TableReader() = default;
 
@@ -140,9 +147,40 @@ class TableReader {
 
   std::string owned_;
   std::string_view borrowed_;
-  Schema schema_;
-  std::vector<GroupIndex> groups_;
+  std::shared_ptr<const FileFraming> framing_;
   ChecksumMode checksum_ = ChecksumMode::kVerify;
+};
+
+/// The resident index of one immutable columnar file: its framing plus
+/// every row group's skip metadata (row count, zone maps, match counts
+/// and the annotation bitvectors), parsed once. A scan decides each
+/// group from it and touches the file's bytes only for the groups it
+/// decodes; a reader opened from it (TableReader::FromIndex) re-parses
+/// neither the schema nor a header.
+class SegmentIndex {
+ public:
+  /// Parses the framing and every group header of `file_bytes`. Computes
+  /// no CRC: pass bytes the in-process TableWriter produced, or a mapping
+  /// that VerifyAllGroups already proved. The index does not borrow the
+  /// bytes.
+  static Result<std::shared_ptr<const SegmentIndex>> Build(
+      std::string_view file_bytes);
+
+  size_t num_row_groups() const { return groups_.size(); }
+  const RowGroupMeta& group(size_t i) const { return groups_[i]; }
+
+  /// OK when `file_bytes` frames like the file the index was built from:
+  /// the same size, and the same CRC stored after every group body.
+  /// Corruption otherwise. Reads one u32 per group; hashes nothing.
+  Status Matches(std::string_view file_bytes) const;
+
+ private:
+  friend class TableReader;
+
+  SegmentIndex() = default;
+
+  std::shared_ptr<const FileFraming> framing_;
+  std::vector<RowGroupMeta> groups_;
 };
 
 }  // namespace ciao::columnar

@@ -104,8 +104,10 @@ Status CiaoSystem::OpenStorage() {
       segment.annotations_exact = false;
     }
     // The disk handle is already attached, so the catalog re-publishes
-    // without copying or re-spilling a single byte.
-    catalog_->AddSegment(std::move(segment));
+    // without copying or re-spilling a single byte. It indexes the file
+    // from one verified mapping: a damaged checkpointed file fails here.
+    CIAO_RETURN_IF_ERROR(catalog_->AddSegment(std::move(segment))
+                             .WithContext("storage recovery"));
   }
   if (!recovered.sideline.empty()) {
     std::vector<std::string_view> views;

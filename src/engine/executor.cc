@@ -128,11 +128,15 @@ struct ScanPlan {
 };
 
 /// The one row-group loop: full scans, stale-epoch segments and skipping
-/// scans all run through it. Per group: metadata, then (fresh bits only)
-/// the bitvector intersection and exact-bits counting, then zone maps,
-/// then the projected decode and typed verification.
+/// scans all run through it. Per group, from the segment's resident
+/// index: (fresh bits only) the bitvector intersection and exact-bits
+/// counting, then zone maps; then the projected decode and typed
+/// verification. The segment's bytes are pinned and opened only when the
+/// first group needs a decode, so a segment the index rules out entirely
+/// costs no mapping, no CRC pass and no header parse.
 Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
                    QueryResult* out) {
+  const columnar::SegmentIndex& index = *segment.index;
   const bool skipping = !plan.predicate_ids.empty();
   // Bits written under another epoch index a different predicate set:
   // ignore them and verify every row (sound; zone maps still apply).
@@ -149,23 +153,32 @@ Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
   const bool count_from_bits =
       bits_fresh && segment.annotations_exact &&
       plan.predicate_ids.size() == plan.query.clauses.size();
-  // kTrust: heap segments were written by the in-process TableWriter
-  // and have lived in memory since; disk-resident segments were
-  // CRC-verified once when their mmap was created (PinSegment), and
-  // mappings are immutable. Re-hashing every group body per query
-  // would dwarf the projected decode itself.
-  CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(segment));
-  if (pin.fresh_mapping) {
-    ++out->stats.segments_mapped;
-    out->stats.bytes_mapped += pin.bytes.size();
-  }
-  CIAO_ASSIGN_OR_RETURN(
-      columnar::TableReader reader,
-      columnar::TableReader::OpenBorrowed(pin.bytes,
-                                          columnar::ChecksumMode::kTrust));
-  for (size_t g = 0; g < reader.num_row_groups(); ++g) {
-    CIAO_ASSIGN_OR_RETURN(columnar::RowGroupMetaLite meta,
-                          reader.ReadMetaLite(g));
+  // Pinned on the first group that needs bytes. The reader is kTrust:
+  // heap segments were written by the in-process TableWriter and have
+  // lived in memory since; disk-resident segments were CRC-verified once
+  // when their mmap was created (PinSegment), and mappings are
+  // immutable. FromIndex also refuses bytes whose size or group CRC
+  // fields differ from the index's. Re-hashing every group body per
+  // query would dwarf the projected decode itself.
+  std::optional<PinnedSegment> pin;
+  std::optional<columnar::TableReader> reader;
+  const auto read_group =
+      [&](size_t g, const std::vector<bool>& wanted,
+          columnar::DecodeStats* decode) -> Result<columnar::RecordBatch> {
+    if (!reader.has_value()) {
+      CIAO_ASSIGN_OR_RETURN(pin, PinSegment(segment));
+      if (pin->fresh_mapping) {
+        ++out->stats.segments_mapped;
+        out->stats.bytes_mapped += pin->bytes.size();
+      }
+      CIAO_ASSIGN_OR_RETURN(reader,
+                            columnar::TableReader::FromIndex(index, pin->bytes));
+      ++out->stats.segments_read;
+    }
+    return reader->ReadBatchProjected(g, wanted, decode);
+  };
+  for (size_t g = 0; g < index.num_row_groups(); ++g) {
+    const columnar::RowGroupMeta& meta = index.group(g);
     ++out->stats.groups_considered;
     if (skipping && !bits_fresh) ++out->stats.groups_stale_annotations;
     uint64_t candidates = meta.num_rows;
@@ -223,7 +236,7 @@ Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
           columnar::DecodeStats decode;
           CIAO_ASSIGN_OR_RETURN(
               columnar::RecordBatch batch,
-              reader.ReadBatchProjected(g, plan.projected_only, &decode));
+              read_group(g, plan.projected_only, &decode));
           out->stats.rows_decoded += meta.num_rows;
           AddDecodeStats(decode, &out->stats);
           plan.eval.ProjectCandidates(batch, meta.num_rows, selection, out);
@@ -239,9 +252,8 @@ Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
       continue;
     }
     columnar::DecodeStats decode;
-    CIAO_ASSIGN_OR_RETURN(
-        columnar::RecordBatch batch,
-        reader.ReadBatchProjected(g, plan.eval.wanted, &decode));
+    CIAO_ASSIGN_OR_RETURN(columnar::RecordBatch batch,
+                          read_group(g, plan.eval.wanted, &decode));
     ++out->stats.groups_scanned;
     out->stats.rows_decoded += meta.num_rows;
     out->stats.rows_skipped += meta.num_rows - candidates;

@@ -33,9 +33,9 @@ std::string_view QueryEvalModeName(QueryEvalMode mode);
 
 /// Counters accumulated while executing one query.
 struct ScanStats {
-  /// Row groups the scan looked at (header read), whether or not they
-  /// were subsequently skipped. Denominator for skipping effectiveness:
-  /// groups_skipped* / groups_considered.
+  /// Row groups the scan looked at (in the segment's resident index),
+  /// whether or not they were subsequently skipped. Denominator for
+  /// skipping effectiveness: groups_skipped* / groups_considered.
   uint64_t groups_considered = 0;
   /// Rows whose column bytes were actually decoded (body read). After
   /// re-layout this should drop far below total rows on skewed workloads.
@@ -86,6 +86,10 @@ struct ScanStats {
   uint64_t segments_mapped = 0;
   /// File bytes of those fresh mappings.
   uint64_t bytes_mapped = 0;
+  /// Segments whose bytes the scan touched: pinned and opened because at
+  /// least one row group needed a decode. A segment whose every group
+  /// the resident index rules out is never pinned, in RAM or on disk.
+  uint64_t segments_read = 0;
 
   /// Accumulates another worker's counters (parallel segment scan).
   void MergeFrom(const ScanStats& other) {
@@ -106,6 +110,7 @@ struct ScanStats {
     bytes_decode_waste += other.bytes_decode_waste;
     segments_mapped += other.segments_mapped;
     bytes_mapped += other.bytes_mapped;
+    segments_read += other.segments_read;
   }
 };
 

@@ -3,23 +3,32 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "columnar/file_reader.h"
 #include "storage/segment_store.h"
 
 namespace ciao {
 
-void TableCatalog::AddSegment(std::string file_bytes, uint64_t num_rows,
-                              uint64_t annotation_epoch) {
+Status TableCatalog::AddSegment(std::string file_bytes, uint64_t num_rows,
+                                uint64_t annotation_epoch) {
   ColumnarSegment segment;
   segment.file_bytes = std::move(file_bytes);
   segment.num_rows = num_rows;
   segment.annotation_epoch = annotation_epoch;
-  AddSegment(std::move(segment));
+  return AddSegment(std::move(segment));
 }
 
-void TableCatalog::SpillForPublish(ColumnarSegment* segment) {
+Status TableCatalog::PrepareForPublish(ColumnarSegment* segment) {
+  if (segment->index == nullptr) {
+    // Heap bytes come from the in-process writer; a disk-resident file
+    // is pinned through its mapping cache, which CRC-verifies every
+    // group of a fresh mapping before the headers are parsed here.
+    CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(*segment));
+    CIAO_ASSIGN_OR_RETURN(segment->index,
+                          columnar::SegmentIndex::Build(pin.bytes));
+  }
   if (store_ == nullptr || segment->disk != nullptr ||
       segment->file_bytes.empty()) {
-    return;
+    return Status::OK();
   }
   // Best-effort: a failed spill leaves the bytes on the heap — the
   // segment stays fully readable and the next checkpoint retries via
@@ -27,10 +36,11 @@ void TableCatalog::SpillForPublish(ColumnarSegment* segment) {
   // covers acknowledged batches until a checkpoint lists the file).
   const Status spill = store_->SpillSegment(segment);
   (void)spill;
+  return Status::OK();
 }
 
-void TableCatalog::AddSegment(ColumnarSegment segment) {
-  SpillForPublish(&segment);
+Status TableCatalog::AddSegment(ColumnarSegment segment) {
+  CIAO_RETURN_IF_ERROR(PrepareForPublish(&segment));
   loaded_rows_.fetch_add(segment.num_rows, std::memory_order_relaxed);
   columnar_bytes_.fetch_add(segment.byte_size(), std::memory_order_relaxed);
   auto published =
@@ -40,17 +50,22 @@ void TableCatalog::AddSegment(ColumnarSegment segment) {
               shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.segments.push_back(std::move(published));
+  return Status::OK();
 }
 
 bool TableCatalog::ReplaceSegments(
     const std::vector<SegmentRef>& old_segments,
     std::vector<ColumnarSegment> replacements,
-    std::optional<RawStore> sideline) {
-  // Spill before any lock: file I/O must never run under snapshot_mu_.
-  // If the swap below loses its race the spilled files become orphans,
-  // collected by the next checkpoint's GC.
+    std::optional<RawStore> sideline, Status* failure) {
+  // Index and spill before any lock: file I/O must never run under
+  // snapshot_mu_. If the swap below loses its race the spilled files
+  // become orphans, collected by the next checkpoint's GC.
   for (ColumnarSegment& replacement : replacements) {
-    SpillForPublish(&replacement);
+    Status prepared = PrepareForPublish(&replacement);
+    if (!prepared.ok()) {
+      if (failure != nullptr) *failure = std::move(prepared);
+      return false;
+    }
   }
   std::shared_ptr<RawStore> fresh_raw;
   if (sideline.has_value()) {

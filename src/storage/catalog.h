@@ -11,16 +11,22 @@
 #include <vector>
 
 #include "columnar/schema.h"
+#include "common/status.h"
 #include "storage/raw_store.h"
 #include "storage/segment_file.h"
 
 namespace ciao {
 
+namespace columnar {
+class SegmentIndex;
+}  // namespace columnar
+
 class SegmentStore;
 
 /// One encoded columnar file (one row group per ingested chunk in the
-/// normal pipeline). Kept as bytes; queries open a TableReader over it —
-/// mirroring Spark re-reading Parquet files per query.
+/// normal pipeline). Kept as bytes, plus a resident index of its skip
+/// metadata: queries decide every row group from the index and open a
+/// reader over the bytes only for the groups they decode.
 ///
 /// Immutable once published to the catalog: the adaptive runtime replaces
 /// whole segments (ReplaceSegments) instead of mutating bytes in place, so
@@ -36,6 +42,10 @@ struct ColumnarSegment {
   std::string file_bytes;
   /// Disk residency handle (null = in-memory). See storage/segment_file.h.
   std::shared_ptr<SegmentFile> disk;
+  /// Framing and per-group skip metadata of the file, wherever it lives.
+  /// Set by the catalog's publish step, so every published segment has
+  /// one; copies of a segment share it.
+  std::shared_ptr<const columnar::SegmentIndex> index;
   uint64_t num_rows = 0;
   /// The plan epoch whose predicate-id space the embedded annotation
   /// bitvectors use. Executors planned against a different epoch must not
@@ -118,15 +128,18 @@ class TableCatalog {
 
   /// Appends one columnar segment; safe to call from many loader threads.
   /// `annotation_epoch` tags the id-space of the embedded annotations.
-  void AddSegment(std::string file_bytes, uint64_t num_rows,
-                  uint64_t annotation_epoch = 0);
+  /// Fails, publishing nothing, when the bytes do not parse as a
+  /// columnar file.
+  Status AddSegment(std::string file_bytes, uint64_t num_rows,
+                    uint64_t annotation_epoch = 0);
 
   /// Full-struct variant: publishes `segment` as-is, including its
   /// annotations_exact provenance (tests and benches seeding a catalog
-  /// with exactly-annotated segments). With an attached store the
-  /// segment's bytes are spilled to disk first (unless already
-  /// disk-resident — the recovery path).
-  void AddSegment(ColumnarSegment segment);
+  /// with exactly-annotated segments). Builds the segment's index, then
+  /// spills its bytes to the attached store. A disk-resident segment
+  /// without an index (the recovery path) is indexed from one verified
+  /// mapping, so a damaged file fails here with Corruption.
+  Status AddSegment(ColumnarSegment segment);
 
   /// The one publish step for every data move after ingest (see
   /// storage/rewrite.h): atomically swaps the published segments
@@ -142,12 +155,15 @@ class TableCatalog {
   ///
   /// Placement: a one-for-one replacement takes the old segment's slot;
   /// otherwise the old segments are removed and the replacements placed
-  /// round-robin, as AddSegment does. Replacements are spilled before any
-  /// lock is taken. A sideline swap requires restructure_mu() held across
-  /// the preceding sideline read.
+  /// round-robin, as AddSegment does. Replacements are indexed and
+  /// spilled before any lock is taken; when a replacement's index cannot
+  /// be built nothing is published, false is returned and `*failure`
+  /// (when given) says why. A sideline swap requires restructure_mu()
+  /// held across the preceding sideline read.
   bool ReplaceSegments(const std::vector<SegmentRef>& old_segments,
                        std::vector<ColumnarSegment> replacements,
-                       std::optional<RawStore> sideline = std::nullopt);
+                       std::optional<RawStore> sideline = std::nullopt,
+                       Status* failure = nullptr);
 
   /// Consistent point-in-time view of every published segment, shard-major
   /// order. Safe against concurrent appends/replacements, including a
@@ -227,11 +243,14 @@ class TableCatalog {
 
   /// SnapshotSegments body; requires snapshot_mu_ held.
   std::vector<SegmentRef> SnapshotSegmentsLocked() const;
-  /// Best-effort spill of a segment about to be published; called BEFORE
-  /// any catalog lock is taken (file I/O must never run under
-  /// snapshot_mu_ or a shard lock). On failure the segment keeps its
-  /// heap bytes — still correct, retried by the next checkpoint.
-  void SpillForPublish(ColumnarSegment* segment);
+  /// The step every publish runs on a segment, BEFORE any catalog lock is
+  /// taken (file I/O must never run under snapshot_mu_ or a shard lock):
+  /// builds the index when the segment has none — from the heap bytes,
+  /// or from a verified mapping of a disk-resident file — then spills
+  /// heap bytes to the attached store. A failed build is returned; a
+  /// failed spill is not (the segment keeps its heap bytes — still
+  /// correct, retried by the next checkpoint).
+  Status PrepareForPublish(ColumnarSegment* segment);
 
   SegmentStore* store_ = nullptr;
   std::shared_ptr<RawStore> raw_;

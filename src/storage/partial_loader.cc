@@ -70,8 +70,8 @@ Status PartialLoader::IngestChunk(const json::JsonChunk& chunk,
     }
     columnar::TableWriter writer(schema_);
     CIAO_RETURN_IF_ERROR(writer.AppendRowGroup(batch, compacted));
-    catalog->AddSegment(std::move(writer).Finish(), loaded,
-                        annotation_epoch_);
+    CIAO_RETURN_IF_ERROR(catalog->AddSegment(std::move(writer).Finish(),
+                                             loaded, annotation_epoch_));
     stats->records_loaded += loaded;
   }
 

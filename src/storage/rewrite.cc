@@ -304,9 +304,10 @@ Status RewriteSegments(TableCatalog* catalog, const PredicateRegistry& registry,
   }
   // All-or-nothing: a concurrent snapshot sees every input row in exactly
   // one place, before or after the move.
-  stats->published = catalog->ReplaceSegments(input.segments,
-                                              std::move(outputs),
-                                              std::move(kept));
+  Status failure;
+  stats->published = catalog->ReplaceSegments(
+      input.segments, std::move(outputs), std::move(kept), &failure);
+  CIAO_RETURN_IF_ERROR(failure);
   if (stats->published) {
     stats->files_written += files.size();
     stats->groups_written += groups_written;

@@ -115,7 +115,8 @@ struct RewriteStats {
 ///
 /// When no row moves, nothing is published. When a concurrent rewrite
 /// already replaced an input segment, nothing is published either and
-/// `stats->published` is false: the catalog is untouched.
+/// `stats->published` is false: the catalog is untouched. An output the
+/// catalog cannot index fails the call, with nothing published.
 Status RewriteSegments(TableCatalog* catalog, const PredicateRegistry& registry,
                        uint64_t annotation_epoch, const RewriteInput& input,
                        const RowOrder& order, const RewriteLayout& layout,

@@ -38,5 +38,20 @@ TEST(BenchReportTest, AssertionEnabledBuildPrintsCellsAndWritesNoFile) {
   EXPECT_NE(err.find(path), std::string::npos) << err;
 }
 
+// Without CIAO_BENCH_JSON the report sits beside the running
+// executable, so a bench run from the repository root leaves the
+// checked-in BENCH_hotpath.json alone.
+TEST(BenchReportTest, DefaultReportSitsBesideTheExecutable) {
+  unsetenv("CIAO_BENCH_JSON");
+  const std::filesystem::path exe =
+      std::filesystem::read_symlink("/proc/self/exe");
+  EXPECT_EQ(ReportPath(), (exe.parent_path() / "BENCH_hotpath.json").string());
+  EXPECT_TRUE(std::filesystem::path(ReportPath()).is_absolute());
+
+  ASSERT_EQ(setenv("CIAO_BENCH_JSON", "some/dir/report.json", 1), 0);
+  EXPECT_EQ(ReportPath(), "some/dir/report.json");
+  unsetenv("CIAO_BENCH_JSON");
+}
+
 }  // namespace
 }  // namespace ciao::bench

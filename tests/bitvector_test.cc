@@ -291,89 +291,6 @@ TEST(BitVectorSetTest, DeserializeTruncatedFails) {
                   .IsCorruption());
 }
 
-// The lazy view must agree bit-for-bit with eager deserialization for
-// every vector and every intersection — it is the executor's per-query
-// replacement for materializing all annotations (sizes straddle word
-// boundaries on purpose).
-TEST(BitVectorSetViewTest, AgreesWithEagerDeserialize) {
-  Rng rng(21);
-  for (const size_t records : {1u, 63u, 64u, 65u, 200u}) {
-    BitVectorSet set(5, records);
-    for (size_t p = 0; p < 5; ++p) {
-      for (size_t r = 0; r < records; ++r) {
-        set.mutable_vector(p)->Set(r, rng.NextBool());
-      }
-    }
-    std::string buf;
-    set.SerializeTo(&buf);
-
-    size_t offset = 0;
-    auto view = BitVectorSetView::Parse(buf, &offset);
-    ASSERT_TRUE(view.ok());
-    EXPECT_EQ(offset, buf.size());  // parse skips past the whole set
-    EXPECT_EQ(view->num_predicates(), 5u);
-    EXPECT_EQ(view->num_records(), records);
-
-    for (uint32_t p = 0; p < 5; ++p) {
-      auto v = view->Get(p);
-      ASSERT_TRUE(v.ok());
-      EXPECT_EQ(*v, set.vector(p)) << "records=" << records << " p=" << p;
-    }
-    const std::vector<uint32_t> ids = {0, 2, 4};
-    auto lazy = view->Intersect(ids);
-    auto eager = set.Intersect(ids);
-    ASSERT_TRUE(lazy.ok() && eager.ok());
-    EXPECT_EQ(*lazy, *eager);
-
-    EXPECT_TRUE(view->Get(5).status().IsOutOfRange());
-    EXPECT_TRUE(view->Intersect({}).status().IsInvalidArgument());
-  }
-}
-
-TEST(BitVectorSetViewTest, EmptySetAndTruncationFail) {
-  BitVectorSet empty;
-  std::string buf;
-  empty.SerializeTo(&buf);
-  size_t offset = 0;
-  auto view = BitVectorSetView::Parse(buf, &offset);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->num_predicates(), 0u);
-  EXPECT_EQ(view->num_records(), 0u);
-
-  BitVectorSet set(2, 100);
-  std::string full;
-  set.SerializeTo(&full);
-  offset = 0;
-  EXPECT_TRUE(BitVectorSetView::Parse(full.substr(0, 10), &offset)
-                  .status()
-                  .IsCorruption());
-  // Cutting into the last vector's payload must fail at Parse, before any
-  // Get — the view bounds-checks the whole span up front.
-  offset = 0;
-  EXPECT_TRUE(BitVectorSetView::Parse(full.substr(0, full.size() - 4), &offset)
-                  .status()
-                  .IsCorruption());
-}
-
-TEST(BitVectorSetViewTest, ParseRejectsOverflowingSizeAndStride) {
-  // n = 2^64 - 1 rounds up to zero words when computed as (n + 63) / 64.
-  {
-    const std::string buf = U32Bytes(1) + U64Bytes(~uint64_t{0});
-    size_t offset = 0;
-    EXPECT_TRUE(
-        BitVectorSetView::Parse(buf, &offset).status().IsCorruption());
-  }
-  // n = 2^63 makes a stride of 2^60 + 8 bytes; times 16 vectors it wraps
-  // to 128, which the buffer does hold.
-  {
-    const std::string buf =
-        U32Bytes(16) + U64Bytes(uint64_t{1} << 63) + std::string(120, '\0');
-    size_t offset = 0;
-    EXPECT_TRUE(
-        BitVectorSetView::Parse(buf, &offset).status().IsCorruption());
-  }
-}
-
 // Tail-word and padding edges of the word-at-a-time kernels: sizes
 // straddling the 64-bit word boundary, bits in the partial last word, and
 // padding that must stay zero through every word-level operation.

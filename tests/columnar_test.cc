@@ -391,7 +391,7 @@ TEST(TableFileTest, ZoneMapCountBeyondHeaderIsCorruption) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ASSERT_TRUE(reader->VerifyAllGroups().ok());
   EXPECT_TRUE(reader->ReadMeta(0).status().IsCorruption());
-  EXPECT_TRUE(reader->ReadMetaLite(0).status().IsCorruption());
+  EXPECT_TRUE(SegmentIndex::Build(file).status().IsCorruption());
 }
 
 TEST(TableFileTest, CrcDetectsBodyCorruption) {
@@ -1116,6 +1116,238 @@ TEST(DecodeColumnMutationTest, EveryMutantFailsCleanlyOrRoundTrips) {
   EXPECT_EQ(violations, 0u) << "of " << mutants << " mutants";
   // Some mutants must still decode, or the property is never exercised.
   EXPECT_GT(decoded_ok, seeds.size());
+}
+
+// ---------- Deterministic mutation test for the segment index ----------
+
+/// Where each group's framing sits in a TableWriter file, found by
+/// walking it the way the reader does.
+struct GroupSpan {
+  size_t marker = 0;  // "GRUP"
+  size_t header = 0;
+  size_t header_len = 0;
+  size_t body = 0;
+  size_t body_len = 0;
+};
+
+std::vector<GroupSpan> WalkGroups(const std::string& file,
+                                  const Schema& schema) {
+  std::string schema_bytes;
+  schema.SerializeTo(&schema_bytes);
+  std::vector<GroupSpan> spans;
+  size_t pos = 8 + schema_bytes.size();
+  while (GetU32At(file, pos) != 0x544F4F46u) {  // "FOOT"
+    GroupSpan g;
+    g.marker = pos;
+    g.header_len = GetU32At(file, pos + 4);
+    g.header = pos + 8;
+    g.body_len = GetU32At(file, g.header + g.header_len);
+    g.body = g.header + g.header_len + 4;
+    spans.push_back(g);
+    pos = g.body + g.body_len + 4;
+  }
+  return spans;
+}
+
+/// Rewrites `file` as a file written before the match-density summary
+/// existed: each header loses its trailing u32 count and counts, and
+/// each group CRC is re-stamped.
+std::string StripMatchCounts(const std::string& file, const Schema& schema,
+                             size_t num_predicates) {
+  const std::vector<GroupSpan> spans = WalkGroups(file, schema);
+  const size_t tail = 4 + 4 * num_predicates;
+  std::string out = file.substr(0, spans.front().marker);
+  for (const GroupSpan& g : spans) {
+    const std::string header = file.substr(g.header, g.header_len - tail);
+    const std::string body = file.substr(g.body, g.body_len);
+    wire::PutU32(0x50555247u, &out);  // "GRUP"
+    wire::PutBytes(header, &out);
+    wire::PutBytes(body, &out);
+    uint32_t crc = Crc32(header);
+    crc = Crc32(body.data(), body.size(), crc);
+    wire::PutU32(crc, &out);
+  }
+  const GroupSpan& last = spans.back();
+  out += file.substr(last.body + last.body_len + 4);
+  return out;
+}
+
+/// TableWriter files with v3 (per-column) and v4 (grouped) bodies, 0 and
+/// 26 predicates, with and without match counts; two groups each.
+std::vector<std::string> IndexMutationSeeds() {
+  Rng rng(157);
+  std::vector<std::string> seeds;
+  for (const bool grouped : {false, true}) {
+    for (const size_t predicates : {size_t{0}, size_t{26}}) {
+      const RecordBatch first = MakeBatch(40, &rng);
+      const RecordBatch second = MakeBatch(23, &rng);
+      ColumnGroupLayout layout;
+      if (grouped) layout.groups = {{0, 2}, {1, 3}};
+      TableWriter writer(first.schema(), layout);
+      for (const RecordBatch* batch : {&first, &second}) {
+        BitVectorSet bits(predicates, batch->num_rows());
+        for (size_t p = 0; p < predicates; ++p) {
+          for (size_t r = 0; r < batch->num_rows(); ++r) {
+            bits.mutable_vector(p)->Set(r, rng.NextBool(0.3));
+          }
+        }
+        EXPECT_TRUE(writer.AppendRowGroup(*batch, bits).ok());
+      }
+      std::string file = std::move(writer).Finish();
+      seeds.push_back(StripMatchCounts(file, first.schema(), predicates));
+      seeds.push_back(std::move(file));
+    }
+  }
+  return seeds;
+}
+
+bool SameZoneMaps(const std::vector<ZoneMap>& a,
+                  const std::vector<ZoneMap>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    // Bytes, not ==: a flipped bit can make a bound NaN.
+    if (a[i].has_minmax != b[i].has_minmax ||
+        a[i].null_count != b[i].null_count ||
+        std::memcmp(&a[i].min, &b[i].min, sizeof(double)) != 0 ||
+        std::memcmp(&a[i].max, &b[i].max, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The property: SegmentIndex::Build returns a non-OK Status, or an index
+/// that agrees with a fresh kTrust parse of the same bytes group by group
+/// and that opens a reader over them. Returns the violation, or "".
+std::string IndexMutantViolation(const std::string& bytes, bool* built) {
+  auto index = SegmentIndex::Build(bytes);
+  *built = index.ok();
+  if (!index.ok()) return "";
+  auto fresh = TableReader::OpenBorrowed(bytes, ChecksumMode::kTrust);
+  if (!fresh.ok()) return "index built, fresh parse failed";
+  const SegmentIndex& ix = **index;
+  auto from_index = TableReader::FromIndex(ix, bytes);
+  if (!from_index.ok()) return "FromIndex failed on the index's own bytes";
+  if (!(from_index->schema() == fresh->schema())) return "schema differs";
+  if (ix.num_row_groups() != fresh->num_row_groups()) {
+    return "group count differs";
+  }
+  for (size_t g = 0; g < ix.num_row_groups(); ++g) {
+    auto meta = fresh->ReadMeta(g);
+    if (!meta.ok()) return "group " + std::to_string(g) + " meta fails";
+    const RowGroupMeta& held = ix.group(g);
+    if (held.num_rows != meta->num_rows ||
+        !(held.annotations == meta->annotations) ||
+        held.match_counts != meta->match_counts ||
+        !SameZoneMaps(held.zone_maps, meta->zone_maps)) {
+      return "group " + std::to_string(g) + " differs from a fresh parse";
+    }
+    if (!held.match_counts.empty() &&
+        held.match_counts.size() != held.annotations.num_predicates()) {
+      return "match counts misaligned with annotations";
+    }
+  }
+  return "";
+}
+
+TEST(SegmentIndexMutationTest, EveryMutantFailsCleanlyOrMatchesAFreshParse) {
+  const std::vector<std::string> seeds = IndexMutationSeeds();
+  ASSERT_EQ(seeds.size(), 8u);
+  constexpr size_t kSplicesPerSeed = 256;
+  Rng rng(163);
+  size_t mutants = 0;
+  size_t built = 0;
+  size_t violations = 0;
+  auto check = [&](const std::string& mutant, const std::string& what) {
+    ++mutants;
+    bool ok = false;
+    const std::string violation = IndexMutantViolation(mutant, &ok);
+    built += ok ? 1 : 0;
+    if (!violation.empty() && ++violations <= 5) {
+      ADD_FAILURE() << what << ": " << violation;
+    }
+  };
+  const Schema schema = MakeBatch(0, &rng).schema();
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    const std::string& seed = seeds[s];
+    const std::string tag = "seed " + std::to_string(s);
+    bool seed_built = false;
+    ASSERT_EQ(IndexMutantViolation(seed, &seed_built), "") << tag;
+    ASSERT_TRUE(seed_built) << tag;
+    // Every single-bit flip in the magic, the schema and every group's
+    // marker, lengths and header: the bytes the index build parses. The
+    // CRC is not re-stamped — Build trusts its bytes, so the parse
+    // itself must hold.
+    std::vector<std::pair<size_t, size_t>> ranges;
+    const std::vector<GroupSpan> spans = WalkGroups(seed, schema);
+    ranges.emplace_back(0, spans.front().header + spans.front().header_len);
+    for (size_t g = 1; g < spans.size(); ++g) {
+      ranges.emplace_back(spans[g].marker,
+                          spans[g].header + spans[g].header_len + 4);
+    }
+    const GroupSpan& last = spans.back();
+    ranges.emplace_back(last.body + last.body_len, seed.size());  // footer
+    for (const auto& [begin, end] : ranges) {
+      for (size_t pos = begin; pos < end; ++pos) {
+        for (int bit = 0; bit < 8; ++bit) {
+          std::string mutant = seed;
+          mutant[pos] ^= static_cast<char>(1 << bit);
+          check(mutant, tag + " flip byte " + std::to_string(pos) + " bit " +
+                            std::to_string(bit));
+        }
+      }
+    }
+    // Every truncation.
+    for (size_t len = 0; len < seed.size(); ++len) {
+      check(seed.substr(0, len), tag + " truncated to " + std::to_string(len));
+    }
+    // Seeded splices: replace a range of up to 16 bytes of a header by
+    // up to 8 random bytes.
+    for (size_t k = 0; k < kSplicesPerSeed; ++k) {
+      const GroupSpan& g = spans[rng.NextBounded(spans.size())];
+      const size_t begin = g.header + rng.NextBounded(g.header_len + 1);
+      const size_t span = std::min<size_t>(16, seed.size() - begin);
+      const size_t end = begin + rng.NextBounded(span + 1);
+      std::string insert(rng.NextBounded(9), '\0');
+      for (char& c : insert) c = static_cast<char>(rng.NextBounded(256));
+      check(seed.substr(0, begin) + insert + seed.substr(end),
+            tag + " splice " + std::to_string(k));
+    }
+  }
+  EXPECT_EQ(violations, 0u) << "of " << mutants << " mutants";
+  // Some mutants must still build, or the property is never exercised.
+  EXPECT_GT(built, seeds.size());
+}
+
+// A reader from the index refuses bytes that frame differently from the
+// file the index was built from.
+TEST(SegmentIndexTest, FromIndexRefusesOtherBytes) {
+  Rng rng(167);
+  const RecordBatch batch = MakeBatch(30, &rng);
+  TableWriter writer(batch.schema());
+  ASSERT_TRUE(writer.AppendRowGroup(batch, BitVectorSet(2, 30)).ok());
+  const std::string file = std::move(writer).Finish();
+  auto index = SegmentIndex::Build(file);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->num_row_groups(), 1u);
+  EXPECT_EQ((*index)->group(0).num_rows, 30u);
+  EXPECT_EQ((*index)->group(0).annotations.num_predicates(), 2u);
+
+  auto reader = TableReader::FromIndex(**index, file);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto decoded = reader->ReadBatch(0);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded->Equals(batch));
+
+  // Same size, different stored CRC.
+  std::string other = file;
+  const GroupSpan g = WalkGroups(file, batch.schema()).front();
+  other[g.body + g.body_len] ^= 0x01;
+  EXPECT_TRUE(TableReader::FromIndex(**index, other).status().IsCorruption());
+  // Different size.
+  EXPECT_TRUE(TableReader::FromIndex(**index, file + "x")
+                  .status()
+                  .IsCorruption());
 }
 
 // ---------- JSON converter ----------

@@ -422,5 +422,74 @@ TEST(FleetTest, AllClientsFailingIsAnError) {
   EXPECT_FALSE(run.send_status.ok());
 }
 
+// ---------- Chunk order ----------
+
+/// The straggler fleet of WorkStealingAbsorbsStraggler: it finishes
+/// chunks far out of index order.
+std::vector<FleetClientSpec> StragglerFleet() {
+  return {{"fast-0"},
+          {"fast-1"},
+          {"straggler", std::numeric_limits<double>::infinity(),
+           /*speed_factor=*/0.02}};
+}
+
+TEST(FleetOrderTest, StragglerFleetSendsChunksInIndexOrder) {
+  MultiClientFixture fx;
+  FleetOptions options;
+  options.chunk_size = 20;  // 30 chunks
+  const size_t num_chunks =
+      (fx.ds.records.size() + options.chunk_size - 1) / options.chunk_size;
+  // Room for every chunk, so no send blocks and nothing drains early.
+  BoundedTransport transport(/*capacity=*/num_chunks);
+  transport.AddProducers(1);
+  FleetScheduler fleet(&fx.registry, &transport, StragglerFleet(), options);
+  ASSERT_TRUE(fleet.SendRecords(fx.ds.records).ok());
+  transport.ProducerDone();
+  EXPECT_GT(fleet.steals(), 0u);
+
+  size_t received = 0;
+  while (true) {
+    auto payload = transport.Receive();
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    if (!payload->has_value()) break;
+    auto msg = ChunkMessage::Deserialize(**payload);
+    ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+    const size_t start = received * options.chunk_size;
+    ASSERT_LT(start, fx.ds.records.size());
+    EXPECT_EQ(msg->chunk.Record(0), fx.ds.records[start])
+        << "payload " << received << " is not chunk " << received;
+    ++received;
+  }
+  EXPECT_EQ(received, num_chunks);
+}
+
+// One loader publishes segments in the order payloads arrive, so a fleet
+// that finishes chunks out of order still yields the sequential oracle's
+// catalog: the same segment bytes in the same snapshot positions, on
+// every run.
+TEST(FleetOrderTest, StragglerFleetPublishesInTheSameSnapshotOrderEveryRun) {
+  MultiClientFixture fx;
+  const FleetRun oracle = RunOracle(fx.ds, fx.registry, fx.ds.records,
+                                    /*chunk_size=*/20);
+  ASSERT_TRUE(oracle.ok());
+  const std::vector<SegmentRef> expected = oracle.catalog->SnapshotSegments();
+  ASSERT_GT(expected.size(), TableCatalog::kDefaultShards);
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    FleetOptions options;
+    options.chunk_size = 20;
+    const FleetRun fleet =
+        RunFleet(fx.ds, fx.registry, StragglerFleet(), fx.ds.records, options,
+                 /*server_completion=*/true, /*num_loaders=*/1);
+    ASSERT_TRUE(fleet.ok());
+    const std::vector<SegmentRef> actual = fleet.catalog->SnapshotSegments();
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i]->file_bytes, expected[i]->file_bytes)
+          << "snapshot position " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ciao

@@ -16,6 +16,7 @@
 #include "columnar/json_converter.h"
 #include "common/crc32.h"
 #include "core/system.h"
+#include "engine/executor.h"
 #include "json/parser.h"
 #include "predicate/semantic_eval.h"
 #include "storage/fs.h"
@@ -533,31 +534,37 @@ TEST(OutOfCoreSystemTest, DiskResidentResultsByteIdenticalToInRam) {
   const auto expected = RunAll(ram->get(), fixture.wl);
 
   // Out-of-core: storage on, budget far below the dataset so scans run
-  // through evicting mmap pins.
-  SystemFixture disk_fixture;
-  disk_fixture.config.storage.enabled = true;
-  disk_fixture.config.storage.dir = TempDir("ciao_ooc_system");
-  disk_fixture.config.storage.memory_budget_bytes = 8 << 10;  // 8 KB
-  auto disk = disk_fixture.Boot();
-  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-  ASSERT_TRUE((*disk)->IngestRecords(disk_fixture.ds.records).ok());
-  ASSERT_NE((*disk)->segment_store(), nullptr);
-  EXPECT_GT((*disk)->segment_store()->segments_spilled(), 0u);
+  // through evicting mmap pins — sequentially, and on four scan threads
+  // that share the mapping cache and read the segments' indexes.
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("query_scan_threads=" + std::to_string(threads));
+    SystemFixture disk_fixture;
+    disk_fixture.config.storage.enabled = true;
+    disk_fixture.config.storage.dir = TempDir("ciao_ooc_system");
+    disk_fixture.config.storage.memory_budget_bytes = 8 << 10;  // 8 KB
+    disk_fixture.config.query_scan_threads = threads;
+    auto disk = disk_fixture.Boot();
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    ASSERT_TRUE((*disk)->IngestRecords(disk_fixture.ds.records).ok());
+    ASSERT_NE((*disk)->segment_store(), nullptr);
+    EXPECT_GT((*disk)->segment_store()->segments_spilled(), 0u);
 
-  uint64_t segments_mapped = 0, bytes_mapped = 0;
-  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> actual;
-  for (const Query& q : disk_fixture.wl.queries) {
-    auto r = (*disk)->ExecuteQuery(q);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    segments_mapped += r->stats.segments_mapped;
-    bytes_mapped += r->stats.bytes_mapped;
-    actual.emplace_back(r->count, r->projected_hashes);
+    uint64_t segments_mapped = 0, bytes_mapped = 0;
+    std::vector<std::pair<uint64_t, std::vector<uint64_t>>> actual;
+    for (const Query& q : disk_fixture.wl.queries) {
+      auto r = (*disk)->ExecuteQuery(q);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      segments_mapped += r->stats.segments_mapped;
+      bytes_mapped += r->stats.bytes_mapped;
+      actual.emplace_back(r->count, r->projected_hashes);
+    }
+    EXPECT_EQ(actual, expected);
+    // The scans really went through the mapping path.
+    EXPECT_GT(segments_mapped, 0u);
+    EXPECT_GT(bytes_mapped, 0u);
+    disk->reset();
+    std::filesystem::remove_all(disk_fixture.config.storage.dir);
   }
-  EXPECT_EQ(actual, expected);
-  // The scans really went through the mapping path.
-  EXPECT_GT(segments_mapped, 0u);
-  EXPECT_GT(bytes_mapped, 0u);
-  std::filesystem::remove_all(disk_fixture.config.storage.dir);
 }
 
 TEST(OutOfCoreSystemTest, CleanShutdownReopensWithoutReingest) {
@@ -657,6 +664,183 @@ TEST(OutOfCoreSystemTest, RegistryFingerprintChangesWithClauseSet) {
   if ((*b)->registry().size() != (*a)->registry().size()) {
     EXPECT_NE(fp_a, RegistryFingerprint((*b)->registry()));
   }
+}
+
+// ---------- Resident segment index: skip before mapping ----------
+
+/// Five disk-resident segments of 20 rows each, segment k holding
+/// a = 100k .. 100k+19, published through a catalog with a store, plus
+/// the same bytes in an all-in-RAM catalog for reference answers.
+struct IndexedStoreFixture {
+  std::string dir = TempDir("ciao_index_skip");
+  std::unique_ptr<SegmentStore> store;
+  TableCatalog disk{TestSchema()};
+  TableCatalog ram{TestSchema()};
+  PredicateRegistry no_pushdown;
+
+  IndexedStoreFixture() {
+    SegmentStore::Options options;
+    options.dir = dir;
+    auto opened = SegmentStore::Open(options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    store = std::move(*opened);
+    disk.AttachStore(store.get());
+    for (uint64_t k = 0; k < 5; ++k) {
+      const std::string bytes = MakeFileBytes(20, 100 * k);
+      EXPECT_TRUE(disk.AddSegment(bytes, 20).ok());
+      EXPECT_TRUE(ram.AddSegment(bytes, 20).ok());
+    }
+  }
+  ~IndexedStoreFixture() { std::filesystem::remove_all(dir); }
+
+  /// `a < bound` through both catalogs; checks the answers agree.
+  Result<QueryResult> Run(int64_t bound) {
+    Query query;
+    query.clauses = {Clause::Of(SimplePredicate::RangeLess("a", bound))};
+    const QueryExecutor in_ram(&ram, &no_pushdown);
+    auto expected = in_ram.Execute(query);
+    EXPECT_TRUE(expected.ok());
+    auto result = QueryExecutor(&disk, &no_pushdown).Execute(query);
+    if (result.ok() && expected.ok()) {
+      EXPECT_EQ(result->count, expected->count) << "a < " << bound;
+    }
+    return result;
+  }
+
+  /// The spilled file of the k-th published segment (publish order is
+  /// shard-major, and five segments fill five shards in order).
+  const SegmentFile& File(size_t k) const { return *disk.segment(k).disk; }
+};
+
+TEST(SegmentIndexTest, QueryRuledOutByIndexCreatesNoMapping) {
+  IndexedStoreFixture fx;
+  for (size_t k = 0; k < 5; ++k) {
+    ASSERT_NE(fx.disk.segment(k).disk, nullptr);
+    ASSERT_NE(fx.disk.segment(k).index, nullptr);
+  }
+  const uint64_t mappings_before = fx.store->cache()->mappings_created();
+  // Zone maps in the index rule out every group: nothing is pinned.
+  auto none = fx.Run(0);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->count, 0u);
+  EXPECT_EQ(none->stats.groups_considered, 5u);
+  EXPECT_EQ(none->stats.groups_skipped_zonemap, 5u);
+  EXPECT_EQ(none->stats.segments_mapped, 0u);
+  EXPECT_EQ(none->stats.segments_read, 0u);
+  EXPECT_EQ(fx.store->cache()->mappings_created(), mappings_before);
+
+  // A query that needs one segment maps and reads exactly that one.
+  auto first = fx.Run(10);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->count, 10u);
+  EXPECT_EQ(first->stats.segments_read, 1u);
+  EXPECT_EQ(first->stats.segments_mapped, 1u);
+  EXPECT_EQ(fx.store->cache()->mappings_created(), mappings_before + 1);
+
+  // Heap segments skip the same way: segments_read counts them too.
+  Query query;
+  query.clauses = {Clause::Of(SimplePredicate::RangeLess("a", 0))};
+  auto heap = QueryExecutor(&fx.ram, &fx.no_pushdown).Execute(query);
+  ASSERT_TRUE(heap.ok());
+  EXPECT_EQ(heap->stats.segments_read, 0u);
+}
+
+// Bits written under another plan epoch are never trusted, but the
+// zone maps in the index still rule groups out before any pin.
+TEST(SegmentIndexTest, StaleEpochSegmentSkipsByZoneMapsWithoutMapping) {
+  IndexedStoreFixture fx;  // every segment annotated under epoch 0
+  Query query;
+  query.clauses = {Clause::Of(SimplePredicate::RangeLess("a", 0))};
+  const uint64_t mappings_before = fx.store->cache()->mappings_created();
+  auto r = QueryExecutor(&fx.disk, &fx.no_pushdown)
+               .ExecuteWithSkipping(query, {0}, /*epoch_id=*/1);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->count, 0u);
+  EXPECT_EQ(r->stats.groups_stale_annotations, 5u);
+  EXPECT_EQ(r->stats.groups_skipped_zonemap, 5u);
+  EXPECT_EQ(r->stats.segments_read, 0u);
+  EXPECT_EQ(r->stats.segments_mapped, 0u);
+  EXPECT_EQ(fx.store->cache()->mappings_created(), mappings_before);
+}
+
+TEST(SegmentIndexTest, FlippedByteInADecodedGroupIsCorruption) {
+  IndexedStoreFixture fx;
+  // Flip the last body byte of segment 2's file (a = 200..219). The file
+  // ends with the group CRC, the footer marker and count, and the end
+  // magic: 20 bytes.
+  const SegmentFile& victim = fx.File(2);
+  {
+    std::fstream f(victim.path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    const std::streamoff pos = static_cast<std::streamoff>(victim.size) - 21;
+    f.seekg(pos);
+    char c = 0;
+    f.get(c);
+    f.seekp(pos);
+    f.put(static_cast<char>(c ^ 0x01));
+  }
+  // Queries that never read segment 2 answer; the damage is not in any
+  // byte they decode.
+  auto before = fx.Run(10);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->count, 10u);
+  // A query that decodes its group maps the file, and the map-time CRC
+  // pass refuses it.
+  auto damaged = QueryExecutor(&fx.disk, &fx.no_pushdown).Execute([] {
+    Query query;
+    query.clauses = {Clause::Of(SimplePredicate::RangeLess("a", 205))};
+    return query;
+  }());
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_TRUE(damaged.status().IsCorruption()) << damaged.status().ToString();
+  auto after = fx.Run(110);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->count, 30u);
+}
+
+TEST(OutOfCoreSystemTest, ReopenIndexesAtOpenAndMapsNoRuledOutSegment) {
+  SystemFixture fixture;
+  fixture.config.storage.enabled = true;
+  fixture.config.storage.dir = TempDir("ciao_ooc_reopen_index");
+  fixture.config.storage.memory_budget_bytes = 1 << 20;
+  // No YCSB record has a negative id: zone maps rule out every group.
+  Query ruled_out;
+  ruled_out.clauses = {Clause::Of(SimplePredicate::RangeLess("id", 0))};
+
+  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> expected;
+  uint64_t expected_ruled_out = 0;
+  {
+    auto system = fixture.Boot();
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    ASSERT_TRUE((*system)->IngestRecords(fixture.ds.records).ok());
+    expected = RunAll(system->get(), fixture.wl);
+    auto r = (*system)->ExecuteQuery(ruled_out);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected_ruled_out = r->count;
+  }
+  auto reopened = fixture.Boot();
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const TableCatalog& catalog = (*reopened)->catalog();
+  const SegmentStore* store = (*reopened)->segment_store();
+  ASSERT_GT(catalog.num_segments(), 0u);
+  for (size_t i = 0; i < catalog.num_segments(); ++i) {
+    ASSERT_NE(catalog.segment(i).disk, nullptr);
+    ASSERT_NE(catalog.segment(i).index, nullptr);
+  }
+  // Each recovered file was mapped and verified once, at open.
+  const uint64_t mappings_at_open = store->cache()->mappings_created();
+  EXPECT_EQ(mappings_at_open, catalog.num_segments());
+
+  auto r = (*reopened)->ExecuteQuery(ruled_out);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->count, expected_ruled_out);
+  EXPECT_EQ(r->stats.segments_mapped, 0u);
+  EXPECT_EQ(r->stats.segments_read, 0u);
+  EXPECT_EQ(store->cache()->mappings_created(), mappings_at_open);
+  EXPECT_EQ(RunAll(reopened->get(), fixture.wl), expected);
+  reopened->reset();
+  std::filesystem::remove_all(fixture.config.storage.dir);
 }
 
 }  // namespace

@@ -552,12 +552,29 @@ TEST(CatalogTest, CountersAndRatio) {
   columnar::Schema schema({{"a", columnar::ColumnType::kInt64}});
   TableCatalog catalog(schema);
   EXPECT_EQ(catalog.LoadingRatio(), 1.0);
-  catalog.AddSegment("fake-bytes", 10);
+  columnar::ColumnVector a(columnar::ColumnType::kInt64);
+  for (int64_t v = 0; v < 10; ++v) a.AppendInt64(v);
+  columnar::RecordBatch batch(schema);
+  *batch.mutable_column(0) = std::move(a);
+  columnar::TableWriter writer(schema);
+  ASSERT_TRUE(writer.AppendRowGroup(batch, BitVectorSet()).ok());
+  const std::string file = std::move(writer).Finish();
+  ASSERT_TRUE(catalog.AddSegment(file, 10).ok());
   catalog.AppendRawBatch({"{}", "{}"});
   EXPECT_EQ(catalog.loaded_rows(), 10u);
   EXPECT_EQ(catalog.raw_rows(), 2u);
   EXPECT_NEAR(catalog.LoadingRatio(), 10.0 / 12.0, 1e-12);
-  EXPECT_EQ(catalog.columnar_bytes(), 10u);
+  EXPECT_EQ(catalog.columnar_bytes(), file.size());
+}
+
+// Every published segment carries an index, so bytes that do not parse
+// as a columnar file are refused instead of published.
+TEST(CatalogTest, UnparseableSegmentIsNotPublished) {
+  TableCatalog catalog(columnar::Schema({{"a", columnar::ColumnType::kInt64}}));
+  EXPECT_TRUE(catalog.AddSegment("fake-bytes", 10).IsCorruption());
+  EXPECT_EQ(catalog.num_segments(), 0u);
+  EXPECT_EQ(catalog.loaded_rows(), 0u);
+  EXPECT_EQ(catalog.columnar_bytes(), 0u);
 }
 
 }  // namespace
