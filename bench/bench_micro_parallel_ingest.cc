@@ -1,5 +1,6 @@
-// Micro-bench: ingest throughput of the concurrent sharded pipeline vs
-// the sequential paper pipeline. Sweeps pool geometries (clients x
+// Micro-bench: ingest throughput of the concurrent pipeline (loaders
+// publish into one catalog segment list under one lock) vs the
+// sequential paper pipeline. Sweeps pool geometries (clients x
 // loaders) over the same dataset and reports wall-clock ingest time,
 // records/s, and speedup vs 1x1. On a multi-core host the 4x4 geometry
 // should clear 2x; on a single hardware thread the pipeline still
@@ -35,7 +36,7 @@ void Run() {
   std::printf(
       "=== micro: parallel ingest, dataset=%s, records=%zu, chunk=1000 ===\n",
       ds.name.c_str(), ds.records.size());
-  std::printf("(client pool -> bounded transport -> loader pool -> sharded "
+  std::printf("(client pool -> bounded transport -> loader pool -> "
               "catalog; budget 3us/record)\n\n");
 
   const std::vector<Geometry> geometries = {

@@ -54,7 +54,8 @@ struct FleetClientSpec {
 /// in-memory queue); anything above 1/1 — or a non-empty heterogeneous
 /// fleet — switches IngestRecords to the overlapped pipeline: a
 /// FleetScheduler prefilters and ships chunks while a LoaderPool drains
-/// a BoundedTransport into the sharded catalog.
+/// a BoundedTransport into the catalog, which takes each publish under
+/// one short lock.
 struct IngestOptions {
   /// Concurrent client prefilter workers (paper Step 1). Ignored when
   /// `fleet` is non-empty.
@@ -149,27 +150,9 @@ struct RelayoutOptions {
   /// must first cover with additional realized waste.
   double cost_multiplier = 2.0;
 
-  /// Seconds of estimated decode waste that must accumulate before the
-  /// trigger is even evaluated (avoids reorganizing a cold or tiny
-  /// catalog on noise).
-  double min_waste_seconds = 0.005;
-
-  /// Hot predicates considered for clustering, hottest first by decayed
-  /// workload share. Each contributes one bit of the per-row cluster
-  /// signature, so keep this small; 16 bits covers any realistic skew.
-  size_t max_cluster_predicates = 16;
-
   /// Rows per rewritten row group. Smaller groups give finer skipping at
   /// more header overhead. 0 = 4096 (kDefaultRewriteRowsPerGroup).
   size_t rows_per_group = 0;
-
-  /// Assumed rewrite throughput (rows/second) used to estimate the cost
-  /// of a prospective re-layout before any has run; after the first run
-  /// the measured throughput replaces it. Deliberately conservative
-  /// (unoptimized builds rewrite at well under 1M rows/s): a low seed
-  /// only delays the first pass, while an optimistic one would let that
-  /// pass overshoot the regret budget before measurement exists.
-  double seed_rewrite_rows_per_second = 2.5e5;
 
   /// Workload-driven column grouping applied by the same rewrite pass
   /// (one decode+re-encode applies row clustering and the vertical
@@ -206,12 +189,6 @@ struct AdaptiveOptions {
 
   /// QueryLog decay half-life in recorded queries (0 = never decay).
   uint64_t history_half_life = 512;
-
-  /// Significance floor when deriving the prospective workload from the
-  /// log: queries whose decayed share fell below this fraction are
-  /// dropped from re-planning (they would otherwise pin their predicates
-  /// in the pushdown set forever under a loose budget). 0 = keep all.
-  double min_query_share = 0.005;
 
   /// Refit the cost model from runtime observations (prefilter timings,
   /// replan-time predicate sweeps) before re-running selection; with too

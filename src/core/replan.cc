@@ -11,6 +11,30 @@ namespace ciao {
 
 namespace {
 
+/// Significance floor when deriving the prospective workload from the
+/// log: queries whose decayed share fell below this fraction are dropped
+/// from re-planning and re-layout (they would otherwise pin their
+/// predicates in the pushdown set forever under a loose budget).
+constexpr double kMinQueryShare = 0.005;
+
+/// Seconds of estimated decode waste that must accumulate since the last
+/// re-layout before its trigger is even evaluated (avoids reorganizing a
+/// cold or tiny catalog on noise).
+constexpr double kMinWasteSeconds = 0.005;
+
+/// Hot predicates considered for clustering, hottest first by decayed
+/// workload share. Each contributes one bit of the per-row cluster
+/// signature; 16 bits covers any realistic skew.
+constexpr size_t kMaxClusterPredicates = 16;
+
+/// Assumed rewrite throughput (rows/second) used to estimate the cost of
+/// a re-layout before any has run, when the host profile measured none.
+/// Deliberately conservative (unoptimized builds rewrite at well under
+/// 1M rows/s): a low seed only delays the first pass, while an
+/// optimistic one would let that pass overshoot the regret budget
+/// before measurement exists.
+constexpr double kSeedRewriteRowsPerSecond = 2.5e5;
+
 void MergeBackfill(BackfillStats* into, const BackfillStats& from) {
   into->segments_rebuilt += from.segments_rebuilt;
   into->groups_rebuilt += from.groups_rebuilt;
@@ -136,7 +160,7 @@ bool ReplanController::OnQueryExecuted(const Query& query,
     Workload derived;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      derived = log_.DeriveWorkload(config_.adaptive.min_query_share);
+      derived = log_.DeriveWorkload(kMinQueryShare);
     }
     const double divergence =
         workload::WorkloadDivergence(derived, epoch->planned_workload());
@@ -185,7 +209,7 @@ void ReplanController::MaybeRelayout() {
   }
   // Fresh waste must exist since the last pass — a just-clustered
   // catalog shouldn't immediately re-cluster on surplus from before.
-  if (credit < opt.min_waste_seconds) return;
+  if (credit < kMinWasteSeconds) return;
   // The benefit side is realized waste; the cost side is the prospective
   // rewrite, estimated from catalog size and the last measured (or
   // seeded) rewrite throughput. The gate is on the *global* ledger:
@@ -203,7 +227,7 @@ void ReplanController::MaybeRelayout() {
   const double rps =
       measured_rps > 0.0
           ? measured_rps
-          : ResolveRewriteSeedRps(opt.seed_rewrite_rows_per_second,
+          : ResolveRewriteSeedRps(kSeedRewriteRowsPerSecond,
                                   ActiveHardwareProfile().get());
   const double estimated_cost =
       static_cast<double>(catalog_->loaded_rows()) / rps;
@@ -215,7 +239,7 @@ void ReplanController::MaybeRelayout() {
     // Re-check under the flight lock: a pass that published between the
     // gate check and here already consumed this budget.
     std::lock_guard<std::mutex> lock(mu_);
-    if (waste_credit_ < opt.min_waste_seconds ||
+    if (waste_credit_ < kMinWasteSeconds ||
         waste_total_ < (spent_seconds_ + estimated_cost) *
                            opt.cost_multiplier) {
       return;
@@ -246,11 +270,11 @@ Result<bool> ReplanController::RelayoutNow() {
   Workload derived;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    derived = log_.DeriveWorkload(config_.adaptive.min_query_share);
+    derived = log_.DeriveWorkload(kMinQueryShare);
   }
   if (derived.queries.empty()) return false;
   const std::vector<HotPredicate> hot =
-      RankHotPredicates(derived, registry, opt.max_cluster_predicates);
+      RankHotPredicates(derived, registry, kMaxClusterPredicates);
 
   // Mine the vertical layout from the same decayed workload the row
   // clustering uses, so one rewrite pass applies both. Per-column byte
@@ -350,7 +374,7 @@ Result<bool> ReplanController::ReplanNow() {
   Workload derived;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    derived = log_.DeriveWorkload(config_.adaptive.min_query_share);
+    derived = log_.DeriveWorkload(kMinQueryShare);
   }
   if (derived.queries.empty()) return false;
 

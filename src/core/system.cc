@@ -184,10 +184,6 @@ Status CiaoSystem::CompactAndCheckpoint() {
     JitStats jit;
     CIAO_RETURN_IF_ERROR(PromoteRawToColumnar(
         catalog_.get(), epoch->registry(), epoch->id, &jit));
-    std::lock_guard<std::mutex> lock(query_stats_mu_);
-    jit_stats_.records_parsed += jit.records_parsed;
-    jit_stats_.parse_errors += jit.parse_errors;
-    jit_stats_.seconds += jit.seconds;
   }
   return CheckpointStorageLocked();
 }
@@ -335,9 +331,6 @@ Result<QueryResult> CiaoSystem::ExecuteQuery(const Query& query) {
                                            epoch->registry(), epoch->id, &jit,
                                            &promotion));
       std::lock_guard<std::mutex> lock(query_stats_mu_);
-      jit_stats_.records_parsed += jit.records_parsed;
-      jit_stats_.parse_errors += jit.parse_errors;
-      jit_stats_.seconds += jit.seconds;
       promotion_stats_.promoted += promotion.promoted;
       promotion_stats_.screened_out += promotion.screened_out;
       promotion_stats_.parse_failures += promotion.parse_failures;

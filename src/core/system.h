@@ -229,7 +229,6 @@ class CiaoSystem {
   size_t queries_run_ = 0;
   size_t queries_skipping_ = 0;
   uint64_t total_result_rows_ = 0;
-  JitStats jit_stats_;
   QueryPromotionStats promotion_stats_;
 
   /// Declared last so it is destroyed (and its thread joined) before any

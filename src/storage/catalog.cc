@@ -45,11 +45,8 @@ Status TableCatalog::AddSegment(ColumnarSegment segment) {
   columnar_bytes_.fetch_add(segment.byte_size(), std::memory_order_relaxed);
   auto published =
       std::make_shared<const ColumnarSegment>(std::move(segment));
-  Shard& shard =
-      shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-              shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.segments.push_back(std::move(published));
+  std::lock_guard<std::mutex> lock(mu_);
+  segments_.push_back(std::move(published));
   return Status::OK();
 }
 
@@ -57,9 +54,9 @@ bool TableCatalog::ReplaceSegments(
     const std::vector<SegmentRef>& old_segments,
     std::vector<ColumnarSegment> replacements,
     std::optional<RawStore> sideline, Status* failure) {
-  // Index and spill before any lock: file I/O must never run under
-  // snapshot_mu_. If the swap below loses its race the spilled files
-  // become orphans, collected by the next checkpoint's GC.
+  // Index and spill before the lock: file I/O must never run under mu_.
+  // If the swap below loses its race the spilled files become orphans,
+  // collected by the next checkpoint's GC.
   for (ColumnarSegment& replacement : replacements) {
     Status prepared = PrepareForPublish(&replacement);
     if (!prepared.ok()) {
@@ -71,13 +68,7 @@ bool TableCatalog::ReplaceSegments(
   if (sideline.has_value()) {
     fresh_raw = std::make_shared<RawStore>(std::move(*sideline));
   }
-  std::lock_guard<std::mutex> snapshot_lock(snapshot_mu_);
-  // Every shard stays locked for the whole swap so no path that reads
-  // shards directly (num_segments, segment) can observe a partial state
-  // either.
-  std::vector<std::unique_lock<std::mutex>> shard_locks;
-  shard_locks.reserve(shards_.size());
-  for (Shard& shard : shards_) shard_locks.emplace_back(shard.mu);
+  std::lock_guard<std::mutex> lock(mu_);
 
   const auto is_old = [&](const SegmentRef& slot) {
     for (const SegmentRef& old_segment : old_segments) {
@@ -88,13 +79,8 @@ bool TableCatalog::ReplaceSegments(
   // All-or-nothing: locate every old segment before touching anything. A
   // miss means a concurrent rewrite (backfill, another re-layout) already
   // replaced one of them — the caller's rewritten bytes are stale.
-  size_t found = 0;
-  for (const Shard& shard : shards_) {
-    for (const SegmentRef& slot : shard.segments) {
-      if (is_old(slot)) ++found;
-    }
-  }
-  if (found != old_segments.size()) return false;
+  const auto found = std::count_if(segments_.begin(), segments_.end(), is_old);
+  if (static_cast<size_t>(found) != old_segments.size()) return false;
 
   const auto retire = [&](const SegmentRef& slot) {
     columnar_bytes_.fetch_sub(slot->byte_size(), std::memory_order_relaxed);
@@ -106,36 +92,24 @@ bool TableCatalog::ReplaceSegments(
     return std::make_shared<const ColumnarSegment>(std::move(segment));
   };
   if (old_segments.size() == 1 && replacements.size() == 1) {
-    for (Shard& shard : shards_) {
-      for (SegmentRef& slot : shard.segments) {
-        if (!is_old(slot)) continue;
-        retire(slot);
-        slot = publish(std::move(replacements.front()));
-      }
+    for (SegmentRef& slot : segments_) {
+      if (!is_old(slot)) continue;
+      retire(slot);
+      slot = publish(std::move(replacements.front()));
     }
   } else {
-    for (Shard& shard : shards_) {
-      auto it = std::remove_if(shard.segments.begin(), shard.segments.end(),
-                               [&](const SegmentRef& slot) {
-                                 if (!is_old(slot)) return false;
-                                 retire(slot);
-                                 return true;
-                               });
-      shard.segments.erase(it, shard.segments.end());
-    }
+    auto it = std::remove_if(segments_.begin(), segments_.end(),
+                             [&](const SegmentRef& slot) {
+                               if (!is_old(slot)) return false;
+                               retire(slot);
+                               return true;
+                             });
+    segments_.erase(it, segments_.end());
     for (ColumnarSegment& replacement : replacements) {
-      // Round-robin placement as in AddSegment; the shard lock is already
-      // held above, so push directly.
-      Shard& shard =
-          shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                  shards_.size()];
-      shard.segments.push_back(publish(std::move(replacement)));
+      segments_.push_back(publish(std::move(replacement)));
     }
   }
-  if (fresh_raw != nullptr) {
-    std::lock_guard<std::mutex> lock(raw_mu_);
-    raw_ = std::move(fresh_raw);
-  }
+  if (fresh_raw != nullptr) raw_ = std::move(fresh_raw);
   return true;
 }
 
@@ -156,62 +130,42 @@ Status TableCatalog::EnsureAllPersisted() {
 }
 
 std::vector<SegmentRef> TableCatalog::SnapshotSegments() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return SnapshotSegmentsLocked();
-}
-
-std::vector<SegmentRef> TableCatalog::SnapshotSegmentsLocked() const {
-  std::vector<SegmentRef> snapshot;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    snapshot.insert(snapshot.end(), shard.segments.begin(),
-                    shard.segments.end());
-  }
-  return snapshot;
+  std::lock_guard<std::mutex> lock(mu_);
+  return segments_;
 }
 
 CatalogSnapshot TableCatalog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  CatalogSnapshot snapshot;
-  snapshot.segments = SnapshotSegmentsLocked();
-  snapshot.raw = SnapshotRaw();
-  return snapshot;
+  std::lock_guard<std::mutex> lock(mu_);
+  return CatalogSnapshot{segments_, raw_};
 }
 
 void TableCatalog::AppendRawBatch(
     const std::vector<std::string_view>& records) {
   if (records.empty()) return;
-  std::lock_guard<std::mutex> lock(raw_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   for (const std::string_view record : records) raw_->Append(record);
 }
 
 std::shared_ptr<const RawStore> TableCatalog::SnapshotRaw() const {
-  std::lock_guard<std::mutex> lock(raw_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return raw_;
 }
 
 uint64_t TableCatalog::raw_rows() const {
-  std::lock_guard<std::mutex> lock(raw_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return raw_->size();
 }
 
 size_t TableCatalog::num_segments() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.segments.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return segments_.size();
 }
 
 const ColumnarSegment& TableCatalog::segment(size_t i) const {
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (i < shard.segments.size()) return *shard.segments[i];
-    i -= shard.segments.size();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
   // Out-of-range index: a programming error, like vector::operator[].
-  std::abort();
+  if (i >= segments_.size()) std::abort();
+  return *segments_[i];
 }
 
 }  // namespace ciao

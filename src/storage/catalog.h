@@ -86,27 +86,23 @@ struct CatalogSnapshot {
 /// with bitvector annotations inside) plus the raw sideline.
 ///
 /// Appends are thread-safe so a pool of PartialLoader workers can ingest
-/// concurrently: segments are striped across shards (each shard under its
-/// own mutex, picked round-robin so contention spreads), the raw sideline
-/// has its own lock, and the row counters are atomics.
+/// concurrently. One mutex guards the segment list (kept in publish
+/// order) and the sideline pointer; every step under it is a short
+/// in-memory update, since indexing and spilling run before it is taken.
+/// The row counters are atomics.
 ///
 /// Two access regimes:
-///  - Quiescent accessors (`segment`, `raw`) expect no concurrent writer
-///    — the legacy query phase after ingest workers have joined.
-///  - Snapshot accessors (`SnapshotSegments`, `SnapshotRaw`) are safe
-///    against concurrent ReplaceSegments / AddSegment: the
+///  - Quiescent accessor (`segment`) expects no concurrent writer — the
+///    legacy query phase after ingest workers have joined.
+///  - Snapshot accessors (`Snapshot`, `SnapshotSegments`, `SnapshotRaw`)
+///    are safe against concurrent ReplaceSegments / AddSegment: the
 ///    returned shared_ptrs keep the superseded objects alive, so the
 ///    adaptive runtime can backfill annotations and promote sideline
 ///    records while queries are in flight.
 class TableCatalog {
  public:
-  static constexpr size_t kDefaultShards = 8;
-
-  explicit TableCatalog(columnar::Schema schema,
-                        size_t num_shards = kDefaultShards)
-      : schema_(std::move(schema)),
-        shards_(num_shards == 0 ? 1 : num_shards),
-        raw_(std::make_shared<RawStore>()) {}
+  explicit TableCatalog(columnar::Schema schema)
+      : schema_(std::move(schema)), raw_(std::make_shared<RawStore>()) {}
 
   TableCatalog(const TableCatalog&) = delete;
   TableCatalog& operator=(const TableCatalog&) = delete;
@@ -147,15 +143,15 @@ class TableCatalog {
   /// `replacements`, and, when `sideline` is set, the raw sideline for
   /// `*sideline`. All-or-nothing: when any of `old_segments` is no longer
   /// published (a concurrent rewrite won the race), nothing is touched
-  /// and false is returned. The snapshot lock is held across the whole
+  /// and false is returned. The catalog lock is held across the whole
   /// swap, so a concurrent Snapshot sees either the old or the new state,
   /// never a mix that would double-count or drop rows. Row counts may be
   /// redistributed across the replacements; only the total must be
   /// conserved (the caller's duty, not checked here).
   ///
   /// Placement: a one-for-one replacement takes the old segment's slot;
-  /// otherwise the old segments are removed and the replacements placed
-  /// round-robin, as AddSegment does. Replacements are indexed and
+  /// otherwise the old segments are removed and the replacements appended
+  /// in order, as AddSegment does. Replacements are indexed and
   /// spilled before any lock is taken; when a replacement's index cannot
   /// be built nothing is published, false is returned and `*failure`
   /// (when given) says why. A sideline swap requires restructure_mu()
@@ -165,9 +161,9 @@ class TableCatalog {
                        std::optional<RawStore> sideline = std::nullopt,
                        Status* failure = nullptr);
 
-  /// Consistent point-in-time view of every published segment, shard-major
-  /// order. Safe against concurrent appends/replacements, including a
-  /// concurrent multi-segment ReplaceSegments (see snapshot_mu_).
+  /// Consistent point-in-time view of every published segment, in
+  /// publish order. Safe against concurrent appends/replacements,
+  /// including a concurrent multi-segment ReplaceSegments.
   std::vector<SegmentRef> SnapshotSegments() const;
 
   /// Atomic combined snapshot of segments + sideline: sees either the
@@ -175,7 +171,7 @@ class TableCatalog {
   /// half-applied one. The scan path for full scans.
   CatalogSnapshot Snapshot() const;
 
-  /// Appends a batch of records under a single sideline lock acquisition
+  /// Appends a batch of records under a single lock acquisition
   /// (the per-chunk path of a loader pool: one lock per chunk, not per
   /// record).
   void AppendRawBatch(const std::vector<std::string_view>& records);
@@ -185,16 +181,10 @@ class TableCatalog {
   /// require the quiescence the legacy pipeline already assumes.
   std::shared_ptr<const RawStore> SnapshotRaw() const;
 
-  /// Shard count (segment placement is striped round-robin across them).
-  size_t num_shards() const { return shards_.size(); }
-
-  // --- Flat view, shard-major order ---
+  // --- Flat view, publish order ---
   size_t num_segments() const;
   /// Quiescent accessor; the reference is invalidated by ReplaceSegments.
   const ColumnarSegment& segment(size_t i) const;
-
-  /// Quiescent sideline accessor; invalidated by a sideline swap.
-  const RawStore& raw() const { return *raw_; }
 
   /// Rows materialized in columnar form.
   uint64_t loaded_rows() const {
@@ -224,36 +214,26 @@ class TableCatalog {
   std::mutex& restructure_mu() const { return restructure_mu_; }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<SegmentRef> segments;
-  };
-
   columnar::Schema schema_;
-  std::vector<Shard> shards_;
-  std::atomic<size_t> next_shard_{0};
-  mutable std::mutex raw_mu_;
   mutable std::mutex restructure_mu_;
-  /// Held (briefly) by SnapshotSegments / combined Snapshot(), and across
-  /// the whole swap of ReplaceSegments (segments and sideline). Readers
-  /// therefore see any multi-step publish either fully applied or not at
-  /// all; per-shard locks alone cannot give that (a shard-at-a-time
-  /// snapshot could catch a cross-segment swap halfway).
-  mutable std::mutex snapshot_mu_;
+  /// Guards `segments_` and the `raw_` pointer (and appends through it).
+  /// ReplaceSegments holds it across the whole swap of segments and
+  /// sideline, so readers see any multi-segment publish either fully
+  /// applied or not at all.
+  mutable std::mutex mu_;
+  /// Published segments, in publish order.
+  std::vector<SegmentRef> segments_;
+  std::shared_ptr<RawStore> raw_;
 
-  /// SnapshotSegments body; requires snapshot_mu_ held.
-  std::vector<SegmentRef> SnapshotSegmentsLocked() const;
-  /// The step every publish runs on a segment, BEFORE any catalog lock is
-  /// taken (file I/O must never run under snapshot_mu_ or a shard lock):
-  /// builds the index when the segment has none — from the heap bytes,
-  /// or from a verified mapping of a disk-resident file — then spills
-  /// heap bytes to the attached store. A failed build is returned; a
-  /// failed spill is not (the segment keeps its heap bytes — still
-  /// correct, retried by the next checkpoint).
+  /// The step every publish runs on a segment, BEFORE mu_ is taken (file
+  /// I/O must never run under it): builds the index when the segment has
+  /// none — from the heap bytes, or from a verified mapping of a
+  /// disk-resident file — then spills heap bytes to the attached store.
+  /// A failed build is returned; a failed spill is not (the segment keeps
+  /// its heap bytes — still correct, retried by the next checkpoint).
   Status PrepareForPublish(ColumnarSegment* segment);
 
   SegmentStore* store_ = nullptr;
-  std::shared_ptr<RawStore> raw_;
   std::atomic<uint64_t> loaded_rows_{0};
   std::atomic<uint64_t> columnar_bytes_{0};
 };

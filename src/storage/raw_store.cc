@@ -8,10 +8,4 @@ void RawStore::Append(std::string_view record) {
   data_.append(record);
 }
 
-void RawStore::Clear() {
-  data_.clear();
-  offsets_.clear();
-  lengths_.clear();
-}
-
 }  // namespace ciao

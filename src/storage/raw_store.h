@@ -26,9 +26,6 @@ class RawStore {
     return std::string_view(data_).substr(offsets_[i], lengths_[i]);
   }
 
-  /// Drops all records (used after promotion to columnar).
-  void Clear();
-
  private:
   std::string data_;
   std::vector<uint64_t> offsets_;

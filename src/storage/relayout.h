@@ -61,8 +61,8 @@ std::vector<HotPredicate> RankHotPredicates(const Workload& workload,
 ///     false-positive rows join the cold tail and the output segments
 ///     are marked `annotations_exact`), zone maps and match densities
 ///     recomputed per group — are packed into `options.rows_per_group`-row
-///     groups, 8 groups per output file, placed round-robin and published
-///     atomically. All of it is one segment-input rewrite
+///     groups, 8 groups per output file, appended to the catalog and
+///     published atomically. All of it is one segment-input rewrite
 ///     (storage/rewrite.h) over every participating segment.
 ///
 /// Only segments already carrying `annotation_epoch` bits participate

@@ -11,8 +11,7 @@ namespace ciao {
 
 namespace {
 
-constexpr std::string_view kMessageMagicV1 = "CMSG";  // legacy: no mask field
-constexpr std::string_view kMessageMagicV2 = "CMG2";  // + u32 total_predicates
+constexpr std::string_view kMessageMagic = "CMG2";
 
 void PutU32(uint32_t v, std::string* out) {
   char buf[4];
@@ -49,10 +48,10 @@ Status ReadU64(std::string_view buffer, size_t* offset, uint64_t* v) {
 void ChunkMessage::SerializeTo(std::string* out) const {
   // Header + mask + ids + NDJSON payload; the BitVectorSet adds its own
   // length fields plus one word-aligned buffer per predicate.
-  out->reserve(out->size() + kMessageMagicV2.size() + 8 +
+  out->reserve(out->size() + kMessageMagic.size() + 8 +
                4 * predicate_ids.size() + 8 + chunk.data().size() +
                annotations.num_predicates() * (annotations.num_records() / 8 + 16));
-  out->append(kMessageMagicV2);
+  out->append(kMessageMagic);
   PutU32(total_predicates, out);
   PutU32(static_cast<uint32_t>(predicate_ids.size()), out);
   for (const uint32_t id : predicate_ids) PutU32(id, out);
@@ -62,21 +61,12 @@ void ChunkMessage::SerializeTo(std::string* out) const {
 }
 
 Result<ChunkMessage> ChunkMessage::Deserialize(std::string_view buffer) {
-  size_t offset = 0;
-  const bool v2 = buffer.size() >= kMessageMagicV2.size() &&
-                  buffer.substr(0, kMessageMagicV2.size()) == kMessageMagicV2;
-  // Backward compat: v1 "CMSG" messages carry no evaluated-predicate
-  // mask; total_predicates stays 0 ("unknown") and receivers fall back
-  // to their registry width, exactly the pre-mask behaviour.
-  if (!v2 && (buffer.size() < kMessageMagicV1.size() ||
-              buffer.substr(0, kMessageMagicV1.size()) != kMessageMagicV1)) {
+  if (buffer.substr(0, kMessageMagic.size()) != kMessageMagic) {
     return Status::Corruption("chunk message: bad magic");
   }
-  offset = v2 ? kMessageMagicV2.size() : kMessageMagicV1.size();
+  size_t offset = kMessageMagic.size();
   ChunkMessage msg;
-  if (v2) {
-    CIAO_RETURN_IF_ERROR(ReadU32(buffer, &offset, &msg.total_predicates));
-  }
+  CIAO_RETURN_IF_ERROR(ReadU32(buffer, &offset, &msg.total_predicates));
   uint32_t n_ids = 0;
   CIAO_RETURN_IF_ERROR(ReadU32(buffer, &offset, &n_ids));
   // Client-sent count: bound it by the u32 ids that can follow.

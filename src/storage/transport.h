@@ -32,14 +32,13 @@ struct ChunkMessage {
   BitVectorSet annotations;
   /// Size of the sender's predicate registry — the mask's universe. The
   /// unevaluated ids of the chunk are exactly [0, total_predicates) minus
-  /// `predicate_ids`. 0 = unknown (legacy maskless message): the receiver
-  /// falls back to its own registry size, as it always did.
+  /// `predicate_ids`. 0 = unknown (the sender did not say): the receiver
+  /// falls back to its own registry size.
   uint32_t total_predicates = 0;
 
   /// Wire format v2: "CMG2" | u32 total_predicates | u32 n_ids | ids |
-  /// u64 ndjson_len | ndjson | BitVectorSet. Deserialize also accepts the
-  /// legacy maskless v1 framing ("CMSG", no total_predicates field),
-  /// yielding total_predicates == 0.
+  /// u64 ndjson_len | ndjson | BitVectorSet. Any other magic, including
+  /// the retired maskless v1 "CMSG", is Corruption.
   void SerializeTo(std::string* out) const;
   static Result<ChunkMessage> Deserialize(std::string_view buffer);
 

@@ -473,7 +473,7 @@ TEST(FleetOrderTest, StragglerFleetPublishesInTheSameSnapshotOrderEveryRun) {
                                     /*chunk_size=*/20);
   ASSERT_TRUE(oracle.ok());
   const std::vector<SegmentRef> expected = oracle.catalog->SnapshotSegments();
-  ASSERT_GT(expected.size(), TableCatalog::kDefaultShards);
+  ASSERT_GT(expected.size(), 1u);
   for (int run = 0; run < 3; ++run) {
     SCOPED_TRACE("run " + std::to_string(run));
     FleetOptions options;

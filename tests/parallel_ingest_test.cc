@@ -109,9 +109,8 @@ TEST(ParallelIngestTest, ParallelScanMatchesSequentialScan) {
   auto system = fx.Boot(IngestOptions{4, 4, 8}, /*scan_threads=*/4);
   ASSERT_TRUE(system.ok());
   ASSERT_TRUE((*system)->IngestRecords(fx.ds.records).ok());
-  // Many segments spread over the catalog shards.
+  // Many segments, published by four concurrent loaders.
   EXPECT_GT((*system)->catalog().num_segments(), 1u);
-  EXPECT_GT((*system)->catalog().num_shards(), 1u);
 
   auto results = (*system)->ExecuteWorkload();
   ASSERT_TRUE(results.ok());

@@ -260,8 +260,8 @@ TEST(RewriteTest, BackfilledSegmentKeepsItsSnapshotPosition) {
   PredicateRegistry new_registry;
   ASSERT_TRUE(new_registry.Register(pool[1], 0.15, 0.5).ok());
 
-  // Eleven segments of distinct sizes: more than the eight shards, so
-  // shard-major snapshot order differs from publish order.
+  // Eleven segments of distinct sizes, so a segment that moved to
+  // another snapshot position shows in its row count.
   TableCatalog catalog(ds.schema);
   size_t start = 0;
   for (size_t rows = 40; start + rows <= ds.records.size() && rows <= 140;

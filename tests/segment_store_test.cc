@@ -707,8 +707,8 @@ struct IndexedStoreFixture {
     return result;
   }
 
-  /// The spilled file of the k-th published segment (publish order is
-  /// shard-major, and five segments fill five shards in order).
+  /// The spilled file of the k-th published segment (the catalog lists
+  /// segments in publish order).
   const SegmentFile& File(size_t k) const { return *disk.segment(k).disk; }
 };
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <thread>
 
 #include "columnar/file_reader.h"
 #include "common/random.h"
@@ -29,9 +33,6 @@ TEST(RawStoreTest, AppendAndRead) {
   EXPECT_EQ(store.Record(0), R"({"a":1})");
   EXPECT_EQ(store.Record(1), R"({"b":2})");
   EXPECT_EQ(store.byte_size(), 14u);
-  store.Clear();
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.byte_size(), 0u);
 }
 
 // ---------- ChunkMessage ----------
@@ -118,9 +119,9 @@ TEST(ChunkMessageTest, MaskRoundTripsWithTotalPredicates) {
   EXPECT_TRUE(decoded->MissingIds(0).empty());
 }
 
-TEST(ChunkMessageTest, LegacyMasklessMessageStillDecodes) {
+TEST(ChunkMessageTest, LegacyMasklessMessageIsCorruption) {
   // Hand-build a v1 "CMSG" frame (no total_predicates field) the way the
-  // pre-mask serializer did: old spools must keep decoding.
+  // pre-mask serializer did: v1 is retired, so it must not decode.
   const std::string ndjson = "{\"a\":1}\n{\"a\":2}\n";
   std::string payload = "CMSG";
   const auto put_u32 = [&payload](uint32_t v) {
@@ -135,17 +136,7 @@ TEST(ChunkMessageTest, LegacyMasklessMessageStillDecodes) {
   annotations.mutable_vector(0)->Set(1, true);
   annotations.SerializeTo(&payload);
 
-  auto decoded = ChunkMessage::Deserialize(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->total_predicates, 0u);  // unknown: legacy maskless
-  EXPECT_EQ(decoded->predicate_ids, (std::vector<uint32_t>{2}));
-  EXPECT_EQ(decoded->chunk.size(), 2u);
-  EXPECT_TRUE(decoded->annotations.vector(0).Get(1));
-  // Receivers expand against their own registry width, as before.
-  auto expanded = decoded->ExpandAnnotations(4);
-  ASSERT_TRUE(expanded.ok());
-  EXPECT_TRUE(expanded->vector(0).All());
-  EXPECT_FALSE(expanded->vector(2).Get(0));
+  EXPECT_TRUE(ChunkMessage::Deserialize(payload).status().IsCorruption());
 }
 
 TEST(ChunkMessageTest, EveryTruncationOfMaskedMessageIsRejected) {
@@ -186,7 +177,7 @@ TEST(ChunkMessageTest, FlippedMagicIsCorruption) {
   msg.annotations = BitVectorSet(1, 1);
   std::string payload;
   msg.SerializeTo(&payload);
-  payload[3] = 'X';  // neither CMSG nor CMG2
+  payload[3] = 'X';  // not CMG2
   EXPECT_TRUE(ChunkMessage::Deserialize(payload).status().IsCorruption());
 }
 
@@ -378,8 +369,9 @@ TEST(PartialLoaderTest, SplitsExactlyByUnionOfBits) {
   EXPECT_TRUE(meta->annotations.vector(1).Get(2));
 
   // Sidelined rows are exactly the all-zero rows, in order.
-  EXPECT_EQ(fx.catalog.raw().Record(0), chunk.Record(0));
-  EXPECT_EQ(fx.catalog.raw().Record(1), chunk.Record(2));
+  const std::shared_ptr<const RawStore> raw = fx.catalog.SnapshotRaw();
+  EXPECT_EQ(raw->Record(0), chunk.Record(0));
+  EXPECT_EQ(raw->Record(1), chunk.Record(2));
 
   // Loaded column data matches the original records.
   auto batch = reader->ReadBatch(0);
@@ -575,6 +567,166 @@ TEST(CatalogTest, UnparseableSegmentIsNotPublished) {
   EXPECT_EQ(catalog.num_segments(), 0u);
   EXPECT_EQ(catalog.loaded_rows(), 0u);
   EXPECT_EQ(catalog.columnar_bytes(), 0u);
+}
+
+const columnar::Schema& IntSchema() {
+  static const columnar::Schema schema({{"a", columnar::ColumnType::kInt64}});
+  return schema;
+}
+
+/// An unpublished segment holding a real one-group file of `rows` rows.
+ColumnarSegment OneGroupSegment(uint64_t rows) {
+  columnar::ColumnVector a(columnar::ColumnType::kInt64);
+  for (uint64_t v = 0; v < rows; ++v) a.AppendInt64(static_cast<int64_t>(v));
+  columnar::RecordBatch batch(IntSchema());
+  *batch.mutable_column(0) = std::move(a);
+  columnar::TableWriter writer(IntSchema());
+  EXPECT_TRUE(writer.AppendRowGroup(batch, BitVectorSet()).ok());
+  ColumnarSegment segment;
+  segment.file_bytes = std::move(writer).Finish();
+  segment.num_rows = rows;
+  return segment;
+}
+
+std::vector<uint64_t> SnapshotRowCounts(const TableCatalog& catalog) {
+  std::vector<uint64_t> rows;
+  for (const SegmentRef& segment : catalog.SnapshotSegments()) {
+    rows.push_back(segment->num_rows);
+  }
+  return rows;
+}
+
+// Segments are identified by their distinct row counts.
+TEST(CatalogTest, SnapshotListsSegmentsInPublishOrder) {
+  TableCatalog catalog(IntSchema());
+  std::vector<uint64_t> expected;
+  for (uint64_t rows = 1; rows <= 20; ++rows) {
+    ASSERT_TRUE(catalog.AddSegment(OneGroupSegment(rows)).ok());
+    expected.push_back(rows);
+  }
+  EXPECT_EQ(SnapshotRowCounts(catalog), expected);
+  EXPECT_EQ(catalog.Snapshot().segments, catalog.SnapshotSegments());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(catalog.segment(i).num_rows, expected[i]) << "segment " << i;
+  }
+
+  // A one-for-one replacement keeps its slot.
+  std::vector<ColumnarSegment> one;
+  one.push_back(OneGroupSegment(100));
+  ASSERT_TRUE(
+      catalog.ReplaceSegments({catalog.SnapshotSegments()[5]}, std::move(one)));
+  expected[5] = 100;
+  EXPECT_EQ(SnapshotRowCounts(catalog), expected);
+
+  // A two-for-one replacement removes its inputs and appends its output.
+  const std::vector<SegmentRef> before = catalog.SnapshotSegments();
+  std::vector<ColumnarSegment> merged;
+  merged.push_back(OneGroupSegment(200));
+  ASSERT_TRUE(
+      catalog.ReplaceSegments({before[2], before[3]}, std::move(merged)));
+  expected.erase(expected.begin() + 2, expected.begin() + 4);
+  expected.push_back(200);
+  EXPECT_EQ(SnapshotRowCounts(catalog), expected);
+  EXPECT_EQ(catalog.num_segments(), expected.size());
+}
+
+// Publishers, snapshot readers and a sideline promotion race through the
+// catalog lock. Every snapshot must be one consistent state: no segment
+// twice, and segment rows plus sideline records bounded by what was
+// published around it (a promotion moves records, it never adds or drops
+// them). The sideline is filled before the threads start, since appends
+// still require quiescence.
+TEST(CatalogTest, ConcurrentPublishSnapshotAndPromotionConserveRows) {
+  constexpr size_t kPublishers = 4;
+  constexpr size_t kSegmentsPerPublisher = 40;
+  constexpr size_t kReaders = 2;
+  constexpr uint64_t kPrefilled = 300;
+  constexpr uint64_t kMovedPerPromotion = 3;
+
+  TableCatalog catalog(IntSchema());
+  const std::string record = R"({"a":1})";
+  catalog.AppendRawBatch(std::vector<std::string_view>(kPrefilled, record));
+
+  std::vector<std::vector<ColumnarSegment>> work(kPublishers);
+  for (size_t t = 0; t < kPublishers; ++t) {
+    for (size_t i = 0; i < kSegmentsPerPublisher; ++i) {
+      work[t].push_back(OneGroupSegment(1 + (t + i) % 4));
+    }
+  }
+
+  std::atomic<uint64_t> started_rows{0};
+  std::atomic<uint64_t> done_rows{0};
+  std::atomic<size_t> writers_left{kPublishers + 1};
+  std::atomic<bool> go{false};
+  const auto wait_for_go = [&go] {
+    while (!go.load()) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kPublishers; ++t) {
+    threads.emplace_back([&, t] {
+      wait_for_go();
+      for (ColumnarSegment& segment : work[t]) {
+        const uint64_t rows = segment.num_rows;
+        started_rows.fetch_add(rows);
+        EXPECT_TRUE(catalog.AddSegment(std::move(segment)).ok());
+        done_rows.fetch_add(rows);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    wait_for_go();
+    for (;;) {
+      std::lock_guard<std::mutex> restructure(catalog.restructure_mu());
+      const std::shared_ptr<const RawStore> raw = catalog.SnapshotRaw();
+      if (raw->empty()) break;
+      const uint64_t moved = std::min<uint64_t>(kMovedPerPromotion, raw->size());
+      RawStore rest;
+      for (size_t i = moved; i < raw->size(); ++i) rest.Append(raw->Record(i));
+      std::vector<ColumnarSegment> promoted;
+      promoted.push_back(OneGroupSegment(moved));
+      EXPECT_TRUE(catalog.ReplaceSegments({}, std::move(promoted),
+                                          std::move(rest)));
+    }
+    writers_left.fetch_sub(1);
+  });
+  std::atomic<size_t> snapshots_taken{0};
+  for (size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      wait_for_go();
+      uint64_t last_total = 0;
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = writers_left.load() == 0;
+        const uint64_t lower = kPrefilled + done_rows.load();
+        const CatalogSnapshot snapshot = catalog.Snapshot();
+        const uint64_t upper = kPrefilled + started_rows.load();
+        std::set<const ColumnarSegment*> distinct;
+        uint64_t total = snapshot.raw->size();
+        for (const SegmentRef& segment : snapshot.segments) {
+          distinct.insert(segment.get());
+          total += segment->num_rows;
+        }
+        EXPECT_EQ(distinct.size(), snapshot.segments.size())
+            << "a segment is listed twice";
+        EXPECT_GE(total, lower);
+        EXPECT_LE(total, upper);
+        EXPECT_GE(total, last_total) << "rows fell between two snapshots";
+        last_total = total;
+        snapshots_taken.fetch_add(1);
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  const uint64_t published = done_rows.load();
+  EXPECT_EQ(catalog.raw_rows(), 0u);
+  EXPECT_EQ(catalog.loaded_rows(), kPrefilled + published);
+  EXPECT_EQ(catalog.num_segments(),
+            kPublishers * kSegmentsPerPublisher +
+                (kPrefilled + kMovedPerPromotion - 1) / kMovedPerPromotion);
+  EXPECT_GE(snapshots_taken.load(), kReaders);
 }
 
 }  // namespace

@@ -93,9 +93,9 @@ TEST(ChunkMessageMalformedTest, BadMagicRejected) {
 }
 
 TEST(ChunkMessageMalformedTest, TruncatedHeaderRejected) {
-  // Magic plus a partial id-count word.
+  // Magic plus a partial total_predicates word.
   EXPECT_TRUE(
-      ChunkMessage::Deserialize(std::string("CMSG\x02\x00", 6))
+      ChunkMessage::Deserialize(std::string("CMG2\x02\x00", 6))
           .status()
           .IsCorruption());
 }
