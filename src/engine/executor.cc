@@ -1,5 +1,6 @@
 #include "engine/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <thread>
@@ -7,6 +8,7 @@
 #include "columnar/file_reader.h"
 #include "columnar/json_converter.h"
 #include "common/timer.h"
+#include "engine/learned_bits.h"
 #include "engine/projection.h"
 #include "engine/typed_eval.h"
 #include "engine/vectorized_eval.h"
@@ -58,15 +60,18 @@ struct GroupEvaluator {
   /// to `selection` when non-null, and returns the match count; when the
   /// query projects columns, also folds every matching row into `out`'s
   /// projected checksums. Stats are the caller's job (one add per batch,
-  /// not per row).
-  Result<uint64_t> CountAndProject(const columnar::RecordBatch& batch,
-                                   uint64_t num_rows,
-                                   const BitVector* selection,
-                                   QueryResult* out) const {
+  /// not per row). The vectorized evaluator also reports what it decided
+  /// per clause into `evidence` when given; the row-wise one leaves it
+  /// empty.
+  Result<uint64_t> CountAndProject(
+      const columnar::RecordBatch& batch, uint64_t num_rows,
+      const BitVector* selection, QueryResult* out,
+      std::vector<VectorizedQuery::ClauseEvidence>* evidence =
+          nullptr) const {
     BitVector hits;
     if (vectorized.has_value()) {
-      CIAO_ASSIGN_OR_RETURN(hits, vectorized->Evaluate(batch, num_rows,
-                                                       selection));
+      CIAO_ASSIGN_OR_RETURN(
+          hits, vectorized->Evaluate(batch, num_rows, selection, evidence));
     } else {
       hits = BitVector(num_rows);
       const auto verify = [&](size_t r) {
@@ -110,6 +115,50 @@ void AddDecodeStats(const columnar::DecodeStats& d, ScanStats* stats) {
   stats->bytes_decode_waste += d.bytes_wasted;
 }
 
+/// The query's clauses as the learned bits know them.
+struct LearnedClauses {
+  /// Per query clause: whether its registry id is among the pushed-down
+  /// ids, and its interned key (engine/learned_bits.h).
+  std::vector<bool> pushed;
+  std::vector<uint32_t> keys;
+  /// The keys of the clauses that are not pushed.
+  std::vector<uint32_t> unpushed_keys;
+};
+
+/// One key hash per clause and query; segments then compare interned
+/// ids. A query with one pushed id per clause (the planner's output when
+/// every clause is pushed) over segments whose bits are all fresh uses no
+/// learned bits, so it computes no key.
+LearnedClauses ResolveClauses(const Query& query,
+                              const std::vector<uint32_t>& predicate_ids,
+                              uint64_t epoch_id,
+                              const PredicateRegistry* registry,
+                              const std::vector<SegmentRef>& segments) {
+  const size_t num_clauses = query.clauses.size();
+  const bool skipping = !predicate_ids.empty();
+  const bool all_pushed = skipping && predicate_ids.size() == num_clauses;
+  LearnedClauses out;
+  out.pushed.assign(num_clauses, all_pushed);
+  if (all_pushed &&
+      std::all_of(segments.begin(), segments.end(), [&](const SegmentRef& s) {
+        return s->annotation_epoch == epoch_id;
+      })) {
+    return out;
+  }
+  for (size_t i = 0; i < num_clauses; ++i) {
+    const std::string key = query.clauses[i].CanonicalKey();
+    if (skipping && !all_pushed && registry != nullptr) {
+      const RegisteredPredicate* p = registry->FindByKey(key);
+      out.pushed[i] = p != nullptr &&
+                      std::find(predicate_ids.begin(), predicate_ids.end(),
+                                p->id) != predicate_ids.end();
+    }
+    out.keys.push_back(InternClauseKey(key));
+    if (!out.pushed[i]) out.unpushed_keys.push_back(out.keys.back());
+  }
+  return out;
+}
+
 /// What a query's scan holds fixed across segments. A full scan has no
 /// predicate ids: no segment's bits are usable, the selection stays null
 /// and every row is a candidate.
@@ -125,15 +174,17 @@ struct ScanPlan {
   /// What the exact-bits counting path decodes: the projected columns
   /// only, since the predicate itself needs no column there.
   std::vector<bool> projected_only;
+  LearnedClauses clauses;
 };
 
 /// The one row-group loop: full scans, stale-epoch segments and skipping
 /// scans all run through it. Per group, from the segment's resident
-/// index: (fresh bits only) the bitvector intersection and exact-bits
-/// counting, then zone maps; then the projected decode and typed
-/// verification. The segment's bytes are pinned and opened only when the
-/// first group needs a decode, so a segment the index rules out entirely
-/// costs no mapping, no CRC pass and no header parse.
+/// index and learned bits: (fresh client bits only) the bitvector
+/// intersection, then the learned bits, counting from bits, zone maps;
+/// then the projected decode and typed verification, which teaches the
+/// learned bits. The segment's bytes are pinned and opened only when the
+/// first group needs a decode, so a segment the index and learned bits
+/// rule out entirely costs no mapping, no CRC pass and no header parse.
 Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
                    QueryResult* out) {
   const columnar::SegmentIndex& index = *segment.index;
@@ -144,15 +195,19 @@ Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
   // backfill rewrites the segment for the new epoch.
   const bool bits_fresh =
       skipping && segment.annotation_epoch == plan.epoch_id;
-  // When every clause of the query was pushed down, the intersected
-  // annotation bits decide the whole query — and if the segment's bits
-  // additionally carry exact (typed-eval) provenance, the candidate
-  // count IS the group's count: no column decode, no re-verification.
-  // Backfilled and re-clustered segments qualify; ingest segments carry
-  // client-prefilter superset bits and always re-verify.
-  const bool count_from_bits =
-      bits_fresh && segment.annotations_exact &&
-      plan.predicate_ids.size() == plan.query.clauses.size();
+  // A pushed clause whose fresh client bits the scan uses is covered:
+  // backfill and re-layout are what make those bits exact, so it is
+  // neither looked up in nor added to the learned bits. Every other
+  // clause is.
+  const std::vector<uint32_t>& learned_keys =
+      bits_fresh ? plan.clauses.unpushed_keys : plan.clauses.keys;
+  LearnedBits* learned =
+      learned_keys.empty() ? nullptr : segment.learned.get();
+  // The candidates are the matches when every clause is decided on them:
+  // a covered clause by exact (typed-eval) client bits — backfilled and
+  // re-clustered segments; ingest bits are a client-prefilter superset —
+  // and every other clause by learned bits.
+  const bool covered_decided = !bits_fresh || segment.annotations_exact;
   // Pinned on the first group that needs bytes. The reader is kTrust:
   // heap segments were written by the in-process TableWriter and have
   // lived in memory since; disk-resident segments were CRC-verified once
@@ -177,6 +232,7 @@ Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
     }
     return reader->ReadBatchProjected(g, wanted, decode);
   };
+  std::vector<VectorizedQuery::ClauseEvidence> evidence;
   for (size_t g = 0; g < index.num_row_groups(); ++g) {
     const columnar::RowGroupMeta& meta = index.group(g);
     ++out->stats.groups_considered;
@@ -225,24 +281,44 @@ Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
         out->stats.rows_skipped += meta.num_rows;
         continue;
       }
-      if (count_from_bits) {
-        // Exact bits + fully-pushed query: the candidates are the
-        // matches. Zone maps can't contradict exact bits, so they are
-        // not consulted either.
-        ++out->stats.groups_counted_exact;
-        out->stats.rows_skipped += meta.num_rows - candidates;
-        out->count += candidates;
-        if (!plan.eval.projection.empty()) {
-          columnar::DecodeStats decode;
-          CIAO_ASSIGN_OR_RETURN(
-              columnar::RecordBatch batch,
-              read_group(g, plan.projected_only, &decode));
-          out->stats.rows_decoded += meta.num_rows;
-          AddDecodeStats(decode, &out->stats);
-          plan.eval.ProjectCandidates(batch, meta.num_rows, selection, out);
-        }
+    }
+    bool learned_decided = true;
+    if (learned != nullptr) {
+      if (selection == nullptr) mask = BitVector();  // every row
+      const LearnedBits::Lookup found =
+          learned->Restrict(g, learned_keys, meta.num_rows, &mask);
+      if (found.none) {
+        candidates = 0;
+      } else if (!mask.empty()) {
+        candidates = mask.CountOnes();
+        selection = candidates != meta.num_rows ? &mask : nullptr;
+      }
+      if (candidates == 0) {
+        ++out->stats.groups_skipped;
+        ++out->stats.groups_skipped_learned;
+        out->stats.rows_skipped += meta.num_rows;
         continue;
       }
+      learned_decided = found.all_known;
+    }
+    if ((bits_fresh || learned != nullptr) && covered_decided &&
+        learned_decided) {
+      // Every clause is decided on the candidates: they are the matches.
+      // Zone maps can't contradict exact bits, so they are not consulted
+      // either.
+      ++out->stats.groups_counted_exact;
+      if (learned != nullptr) ++out->stats.groups_counted_learned;
+      out->stats.rows_skipped += meta.num_rows - candidates;
+      out->count += candidates;
+      if (!plan.eval.projection.empty()) {
+        columnar::DecodeStats decode;
+        CIAO_ASSIGN_OR_RETURN(columnar::RecordBatch batch,
+                              read_group(g, plan.projected_only, &decode));
+        out->stats.rows_decoded += meta.num_rows;
+        AddDecodeStats(decode, &out->stats);
+        plan.eval.ProjectCandidates(batch, meta.num_rows, selection, out);
+      }
+      continue;
     }
     if (plan.use_zone_maps &&
         !ZoneMapsMaySatisfy(plan.query, plan.schema, meta.zone_maps,
@@ -264,8 +340,16 @@ Status ScanSegment(const ScanPlan& plan, const ColumnarSegment& segment,
     // The candidate mask is the vectorized path's selection vector.
     CIAO_ASSIGN_OR_RETURN(
         const uint64_t matched,
-        plan.eval.CountAndProject(batch, meta.num_rows, selection, out));
+        plan.eval.CountAndProject(batch, meta.num_rows, selection, out,
+                                  learned != nullptr ? &evidence : nullptr));
     out->count += matched;
+    // Keep what the evaluator decided about every uncovered clause.
+    for (size_t i = 0; i < evidence.size(); ++i) {
+      const VectorizedQuery::ClauseEvidence& ev = evidence[i];
+      if (!ev.evaluated || (bits_fresh && plan.clauses.pushed[i])) continue;
+      learned->Merge(g, plan.clauses.keys[i], ev.hits,
+                     ev.all_known ? nullptr : &ev.known);
+    }
   }
   return Status::OK();
 }
@@ -369,7 +453,8 @@ Result<QueryResult> QueryExecutor::Execute(const Query& query,
       view.registry != nullptr ? view.registry : registry_;
   const PlanDecision decision = PlanQuery(query, *registry);
   if (decision.kind == PlanKind::kSkippingScan) {
-    return ExecuteWithSkipping(query, decision.predicate_ids, view.epoch_id);
+    return SkippingScan(query, decision.predicate_ids, view.epoch_id,
+                        registry);
   }
   return ExecuteFullScan(query);
 }
@@ -378,12 +463,18 @@ Result<QueryResult> QueryExecutor::ExecuteFullScan(const Query& query) const {
   // One combined snapshot of segments + sideline: a concurrent promotion
   // moves records between the two, and a consistent cut is what keeps the
   // count exact (either view of the move counts each record once).
-  return Scan(query, {}, 0, catalog_->Snapshot());
+  return Scan(query, {}, 0, registry_, catalog_->Snapshot());
 }
 
 Result<QueryResult> QueryExecutor::ExecuteWithSkipping(
     const Query& query, const std::vector<uint32_t>& predicate_ids,
     uint64_t epoch_id) const {
+  return SkippingScan(query, predicate_ids, epoch_id, registry_);
+}
+
+Result<QueryResult> QueryExecutor::SkippingScan(
+    const Query& query, const std::vector<uint32_t>& predicate_ids,
+    uint64_t epoch_id, const PredicateRegistry* registry) const {
   if (predicate_ids.empty()) {
     return Status::InvalidArgument(
         "ExecuteWithSkipping: no pushed-down predicate ids");
@@ -393,13 +484,14 @@ Result<QueryResult> QueryExecutor::ExecuteWithSkipping(
   // upheld across re-plans because a new epoch installs only after
   // backfill promoted every sideline record matching one of its
   // predicates).
-  return Scan(query, predicate_ids, epoch_id,
+  return Scan(query, predicate_ids, epoch_id, registry,
               CatalogSnapshot{catalog_->SnapshotSegments(), nullptr});
 }
 
 Result<QueryResult> QueryExecutor::Scan(
     const Query& query, const std::vector<uint32_t>& predicate_ids,
-    uint64_t epoch_id, const CatalogSnapshot& snapshot) const {
+    uint64_t epoch_id, const PredicateRegistry* registry,
+    const CatalogSnapshot& snapshot) const {
   Stopwatch watch;
   QueryResult result;
   result.plan =
@@ -409,13 +501,16 @@ Result<QueryResult> QueryExecutor::Scan(
       const GroupEvaluator eval,
       GroupEvaluator::Make(query, schema, options_.query_eval));
   eval.projection.EnsureSize(&result.projected_hashes);
-  const ScanPlan plan{query,
-                      schema,
-                      eval,
-                      predicate_ids,
-                      epoch_id,
-                      options_.use_zone_maps,
-                      eval.projection.WantedColumnsOnly(schema.num_fields())};
+  const ScanPlan plan{
+      query,
+      schema,
+      eval,
+      predicate_ids,
+      epoch_id,
+      options_.use_zone_maps,
+      eval.projection.WantedColumnsOnly(schema.num_fields()),
+      ResolveClauses(query, predicate_ids, epoch_id, registry,
+                     snapshot.segments)};
   CIAO_RETURN_IF_ERROR(ScanSegments(plan, snapshot.segments,
                                     options_.num_scan_threads, &result));
   // Records in the sideline were never loaded, and without a pushed-down

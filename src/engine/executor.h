@@ -81,13 +81,22 @@ class QueryExecutor {
       uint64_t epoch_id = 0) const;
 
  private:
+  /// A skipping scan of the published segments; `registry` says which
+  /// of the query's clauses `predicate_ids` push down.
+  Result<QueryResult> SkippingScan(const Query& query,
+                                   const std::vector<uint32_t>& predicate_ids,
+                                   uint64_t epoch_id,
+                                   const PredicateRegistry* registry) const;
+
   /// The one scan: every segment of `snapshot` through the row-group
   /// loop, using the annotation bits of `predicate_ids` where they were
-  /// written under `epoch_id` (none for a full scan), then the sideline
-  /// when `snapshot.raw` is set.
+  /// written under `epoch_id` (none for a full scan) and the bits scans
+  /// learned for every other clause, then the sideline when
+  /// `snapshot.raw` is set.
   Result<QueryResult> Scan(const Query& query,
                            const std::vector<uint32_t>& predicate_ids,
                            uint64_t epoch_id,
+                           const PredicateRegistry* registry,
                            const CatalogSnapshot& snapshot) const;
 
   const TableCatalog* catalog_;

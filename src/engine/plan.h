@@ -42,18 +42,26 @@ struct ScanStats {
   uint64_t rows_decoded = 0;
   /// Rows on which the (typed) predicate was actually evaluated.
   uint64_t rows_evaluated = 0;
-  /// Rows skipped because their intersected bit was 0.
+  /// Rows skipped because their candidate bit was 0.
   uint64_t rows_skipped = 0;
-  /// Row groups whose intersected bitvector was all-zero (columns never
-  /// decoded).
+  /// Row groups whose candidate bits were all-zero (columns never
+  /// decoded): the intersected client bitvectors, or the bits earlier
+  /// scans learned.
   uint64_t groups_skipped = 0;
+  /// The subset of groups_skipped ruled out by learned bits
+  /// (engine/learned_bits.h) after the client bits left candidates.
+  uint64_t groups_skipped_learned = 0;
   /// Row groups proved empty by zone maps (numeric min/max statistics).
   uint64_t groups_skipped_zonemap = 0;
-  /// Row groups answered straight from exact annotation bits: the
-  /// segment's bits carry typed-eval provenance and every query clause
-  /// is pushed, so the candidate count IS the group's result — columns
-  /// never decoded, predicate never re-evaluated.
+  /// Row groups answered straight from bits: every query clause is
+  /// decided on every candidate row — a pushed clause by client bits
+  /// with typed-eval provenance, any other clause by learned bits — so
+  /// the candidate count IS the group's result. The predicate is never
+  /// re-evaluated, and only projected columns are decoded.
   uint64_t groups_counted_exact = 0;
+  /// The subset of groups_counted_exact that needed learned bits.
+  uint64_t groups_counted_learned = 0;
+  /// Row groups decoded and verified with the typed predicate.
   uint64_t groups_scanned = 0;
   /// Row groups whose annotations were written under a different plan
   /// epoch than the one this query planned against — their bits live in
@@ -98,8 +106,10 @@ struct ScanStats {
     rows_evaluated += other.rows_evaluated;
     rows_skipped += other.rows_skipped;
     groups_skipped += other.groups_skipped;
+    groups_skipped_learned += other.groups_skipped_learned;
     groups_skipped_zonemap += other.groups_skipped_zonemap;
     groups_counted_exact += other.groups_counted_exact;
+    groups_counted_learned += other.groups_counted_learned;
     groups_scanned += other.groups_scanned;
     groups_stale_annotations += other.groups_stale_annotations;
     raw_records_scanned += other.raw_records_scanned;

@@ -337,12 +337,15 @@ bool VectorizedQuery::LateTermMatches(const Term& term,
              std::string_view::npos;
 }
 
-Result<BitVector> VectorizedQuery::Evaluate(const columnar::RecordBatch& batch,
-                                            size_t num_rows,
-                                            const BitVector* selection) const {
+Result<BitVector> VectorizedQuery::Evaluate(
+    const columnar::RecordBatch& batch, size_t num_rows,
+    const BitVector* selection, std::vector<ClauseEvidence>* evidence) const {
   if (selection != nullptr && selection->size() != num_rows) {
     return Status::InvalidArgument(
         "vectorized eval: selection size does not match batch rows");
+  }
+  if (evidence != nullptr) {
+    evidence->assign(clauses_.size(), ClauseEvidence{});
   }
   BitVector alive =
       selection != nullptr ? *selection : BitVector(num_rows, true);
@@ -351,6 +354,7 @@ Result<BitVector> VectorizedQuery::Evaluate(const columnar::RecordBatch& batch,
     if (!any) break;
     const CompiledClause& clause = clauses_[ci];
     BitVector hits(num_rows, false);
+    ClauseEvidence* ev = evidence != nullptr ? &(*evidence)[ci] : nullptr;
     for (const Term& term : clause.dense) {
       CIAO_RETURN_IF_ERROR(EvalDenseTerm(term, batch, num_rows, &hits));
     }
@@ -383,7 +387,18 @@ Result<BitVector> VectorizedQuery::Evaluate(const columnar::RecordBatch& batch,
         hits.OrWord(wi, matched);
       }
     }
+    if (ev != nullptr) {
+      ev->evaluated = true;
+      ev->all_known = clause.late.empty();
+      // The late kernels ran on the rows alive before this clause; every
+      // other row it decided is a dense hit, already in `hits`.
+      if (!ev->all_known) {
+        ev->known = alive;
+        CIAO_RETURN_IF_ERROR(ev->known.OrWith(hits));
+      }
+    }
     CIAO_ASSIGN_OR_RETURN(any, alive.AndWithAny(hits));
+    if (ev != nullptr) ev->hits = std::move(hits);
   }
   return alive;
 }

@@ -33,16 +33,36 @@ class VectorizedQuery {
   static Result<VectorizedQuery> Compile(const Query& query,
                                          const columnar::Schema& schema);
 
+  /// What one Evaluate call decided about one clause, reported as the
+  /// kernels computed it: exact on the known rows. The scan keeps it as
+  /// learned bits (engine/learned_bits.h).
+  struct ClauseEvidence {
+    /// False when an earlier clause left no row alive, so this one never
+    /// ran and nothing is known.
+    bool evaluated = false;
+    /// A dense-only clause runs on every row: all rows are known and
+    /// `known` stays empty.
+    bool all_known = false;
+    /// With late terms: the clause's dense hits plus the rows still alive
+    /// when it ran — the only rows its substring kernel looked at.
+    BitVector known;
+    /// The rows that matched; a subset of the known rows.
+    BitVector hits;
+  };
+
   /// Evaluates the conjunction over rows [0, num_rows) of `batch`,
   /// returning one bit per row. When `selection` is non-null (size must
   /// equal num_rows) only its set rows can appear in the result, and the
   /// late kernels touch only rows still alive — the skipping scan passes
   /// the AND of the pushed-down annotation bitvectors here. Referenced
   /// columns must be decoded with exactly num_rows rows (a projected
-  /// batch from TableReader::ReadBatchProjected qualifies).
-  Result<BitVector> Evaluate(const columnar::RecordBatch& batch,
-                             size_t num_rows,
-                             const BitVector* selection = nullptr) const;
+  /// batch from TableReader::ReadBatchProjected qualifies). When
+  /// `evidence` is non-null it is resized to num_clauses() and entry i
+  /// reports the query's clause i.
+  Result<BitVector> Evaluate(
+      const columnar::RecordBatch& batch, size_t num_rows,
+      const BitVector* selection = nullptr,
+      std::vector<ClauseEvidence>* evidence = nullptr) const;
 
   /// Column-pruning mask, same contract as CompiledTypedQuery.
   std::vector<bool> ReferencedColumns(size_t num_fields) const;

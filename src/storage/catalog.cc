@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "columnar/file_reader.h"
+#include "engine/learned_bits.h"
 #include "storage/segment_store.h"
 
 namespace ciao {
@@ -25,6 +26,11 @@ Status TableCatalog::PrepareForPublish(ColumnarSegment* segment) {
     CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(*segment));
     CIAO_ASSIGN_OR_RETURN(segment->index,
                           columnar::SegmentIndex::Build(pin.bytes));
+    segment->learned.reset();
+  }
+  if (segment->learned == nullptr) {
+    segment->learned = std::make_shared<LearnedBits>(
+        segment->index->num_row_groups(), segment->byte_size());
   }
   if (store_ == nullptr || segment->disk != nullptr ||
       segment->file_bytes.empty()) {

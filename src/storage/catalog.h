@@ -21,6 +21,7 @@ namespace columnar {
 class SegmentIndex;
 }  // namespace columnar
 
+class LearnedBits;
 class SegmentStore;
 
 /// One encoded columnar file (one row group per ingested chunk in the
@@ -46,6 +47,11 @@ struct ColumnarSegment {
   /// Set by the catalog's publish step, so every published segment has
   /// one; copies of a segment share it.
   std::shared_ptr<const columnar::SegmentIndex> index;
+  /// What scans learned about the file's rows for clauses no client bit
+  /// covers (engine/learned_bits.h). Created empty with the index and
+  /// shared by copies, which hold the same bytes; a segment published
+  /// with a new index starts with nothing learned.
+  std::shared_ptr<LearnedBits> learned;
   uint64_t num_rows = 0;
   /// The plan epoch whose predicate-id space the embedded annotation
   /// bitvectors use. Executors planned against a different epoch must not
@@ -226,9 +232,10 @@ class TableCatalog {
   std::shared_ptr<RawStore> raw_;
 
   /// The step every publish runs on a segment, BEFORE mu_ is taken (file
-  /// I/O must never run under it): builds the index when the segment has
-  /// none — from the heap bytes, or from a verified mapping of a
-  /// disk-resident file — then spills heap bytes to the attached store.
+  /// I/O must never run under it): builds the index and an empty
+  /// LearnedBits when the segment has no index — from the heap bytes, or
+  /// from a verified mapping of a disk-resident file — then spills heap
+  /// bytes to the attached store.
   /// A failed build is returned; a failed spill is not (the segment keeps
   /// its heap bytes — still correct, retried by the next checkpoint).
   Status PrepareForPublish(ColumnarSegment* segment);

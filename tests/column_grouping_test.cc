@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -699,9 +700,14 @@ TEST(ColumnGroupingE2ETest, ConcurrentQueriesDuringRegroupStayConsistent) {
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::atomic<bool> done{false};
+  // All five threads start together, so the regrouping passes really race
+  // the queries.
+  std::latch start(kThreads + 1);
   std::vector<std::thread> threads;
+  threads.reserve(kThreads + 1);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      start.arrive_and_wait();
       for (int i = 0; i < kItersPerThread; ++i) {
         const size_t qi = (static_cast<size_t>(t) + i) % wl.queries.size();
         auto result = (*system)->ExecuteQuery(wl.queries[qi]);
@@ -717,7 +723,10 @@ TEST(ColumnGroupingE2ETest, ConcurrentQueriesDuringRegroupStayConsistent) {
     });
   }
   threads.emplace_back([&] {
-    for (int i = 0; i < kRegroups && !done.load(std::memory_order_relaxed);
+    start.arrive_and_wait();
+    // The first pass always runs, even when the queries finish first.
+    for (int i = 0;
+         i < kRegroups && (i == 0 || !done.load(std::memory_order_relaxed));
          ++i) {
       auto relaid = controller->ForceRelayout();
       if (!relaid.ok()) failures.fetch_add(1, std::memory_order_relaxed);

@@ -105,11 +105,16 @@ TEST(ChunkMessageMalformedTest, OversizedNdjsonLengthRejected) {
   msg.chunk = MakeChunk({R"({"a":1})"});
   std::string payload;
   msg.SerializeTo(&payload);
-  // Corrupt the u64 NDJSON length (offset: magic 4 + id count 4) to claim
-  // more bytes than the buffer holds.
-  payload[8] = '\xff';
-  payload[9] = '\xff';
-  EXPECT_TRUE(ChunkMessage::Deserialize(payload).status().IsCorruption());
+  // Corrupt the u64 NDJSON length (offset: magic 4 + total_predicates 4 +
+  // evaluated id count 4, with no ids) to claim more bytes than the
+  // buffer holds.
+  payload[12] = '\xff';
+  payload[13] = '\xff';
+  const Status status = ChunkMessage::Deserialize(payload).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("truncated NDJSON payload"),
+            std::string::npos)
+      << status.ToString();
 }
 
 void AppendU32(uint32_t v, std::string* out) {
