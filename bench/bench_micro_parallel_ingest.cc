@@ -2,12 +2,17 @@
 // publish into one catalog segment list under one lock) vs the
 // sequential paper pipeline. Sweeps pool geometries (clients x
 // loaders) over the same dataset and reports wall-clock ingest time,
-// records/s, and speedup vs 1x1. On a multi-core host the 4x4 geometry
-// should clear 2x; on a single hardware thread the pipeline still
-// overlaps client prefiltering with server loading.
+// records/s, and speedup vs 1x1. Each geometry runs kRuns times, each a
+// fresh Bootstrap and ingest; the table prints the median with the
+// min-max across runs, so one slow run does not decide a comparison. On
+// a multi-core host the 4x4 geometry should clear 2x; on a single
+// hardware thread the pipeline still overlaps client prefiltering with
+// server loading.
 //
 //   ./build/bench/bench_micro_parallel_ingest
 //   CIAO_BENCH_SCALE=4 ./build/bench/bench_micro_parallel_ingest
+
+#include <algorithm>
 
 #include "bench_common.h"
 #include "common/timer.h"
@@ -20,6 +25,23 @@ struct Geometry {
   size_t loaders;
   size_t capacity;
 };
+
+/// Fresh Bootstrap + ingest runs per geometry.
+constexpr size_t kRuns = 5;
+
+/// Median of an odd count.
+double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
+/// The median with the min-max across runs.
+std::string MedianWithRange(const std::vector<double>& xs, int precision) {
+  const auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
+  return FormatDouble(Median(xs), precision) + " [" +
+         FormatDouble(*lo, precision) + "-" + FormatDouble(*hi, precision) +
+         "]";
+}
 
 void Run() {
   WarmUp();
@@ -37,7 +59,8 @@ void Run() {
       "=== micro: parallel ingest, dataset=%s, records=%zu, chunk=1000 ===\n",
       ds.name.c_str(), ds.records.size());
   std::printf("(client pool -> bounded transport -> loader pool -> "
-              "catalog; budget 3us/record)\n\n");
+              "catalog; budget 3us/record; median [min-max] of %zu runs)\n\n",
+              kRuns);
 
   const std::vector<Geometry> geometries = {
       {1, 1, 64}, {1, 2, 64}, {2, 1, 64}, {2, 2, 64}, {4, 4, 64}, {8, 8, 64},
@@ -55,34 +78,46 @@ void Run() {
     config.ingest.num_clients = g.clients;
     config.ingest.num_loaders = g.loaders;
     config.ingest.queue_capacity = g.capacity;
-    auto system = CiaoSystem::Bootstrap(ds.schema, wl, ds.records, config,
-                                        CostModel::Default());
-    if (!system.ok()) {
-      std::fprintf(stderr, "bootstrap failed: %s\n",
-                   system.status().ToString().c_str());
-      std::exit(1);
-    }
-    Stopwatch watch;
-    if (Status st = (*system)->IngestRecords(ds.records); !st.ok()) {
-      std::fprintf(stderr, "ingest failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    const double seconds = watch.ElapsedSeconds();
-    if (g.clients == 1 && g.loaders == 1) baseline_seconds = seconds;
+    std::vector<double> seconds;
+    std::vector<double> krecords;
+    std::vector<double> load_ratios;
+    bool queries_ok = true;
+    for (size_t run = 0; run < kRuns; ++run) {
+      auto system = CiaoSystem::Bootstrap(ds.schema, wl, ds.records, config,
+                                          CostModel::Default());
+      if (!system.ok()) {
+        std::fprintf(stderr, "bootstrap failed: %s\n",
+                     system.status().ToString().c_str());
+        std::exit(1);
+      }
+      Stopwatch watch;
+      if (Status st = (*system)->IngestRecords(ds.records); !st.ok()) {
+        std::fprintf(stderr, "ingest failed: %s\n", st.ToString().c_str());
+        std::exit(1);
+      }
+      seconds.push_back(watch.ElapsedSeconds());
+      krecords.push_back(ds.records.size() / seconds.back() / 1000.0);
 
-    // Sanity: concurrency must not change results.
-    auto results = (*system)->ExecuteWorkload();
-    const bool queries_ok = results.ok();
+      // Sanity: concurrency must not change results, in any run.
+      queries_ok = queries_ok && (*system)->ExecuteWorkload().ok();
+      load_ratios.push_back((*system)->load_stats().LoadingRatio());
+    }
+    const double median_seconds = Median(seconds);
+    if (g.clients == 1 && g.loaders == 1) baseline_seconds = median_seconds;
 
     table.AddRow({
         StrFormat("%zu", g.clients),
         StrFormat("%zu", g.loaders),
         StrFormat("%zu", g.capacity),
-        FormatDouble(seconds, 3),
-        FormatDouble(ds.records.size() / seconds / 1000.0, 1),
-        FormatDouble(baseline_seconds > 0 ? baseline_seconds / seconds : 1.0,
+        MedianWithRange(seconds, 3),
+        MedianWithRange(krecords, 1),
+        FormatDouble(baseline_seconds > 0 ? baseline_seconds / median_seconds
+                                          : 1.0,
                      2),
-        FormatDouble((*system)->load_stats().LoadingRatio(), 3),
+        std::all_of(load_ratios.begin(), load_ratios.end(),
+                    [&](double r) { return r == load_ratios.front(); })
+            ? FormatDouble(load_ratios.front(), 3)
+            : "varies",
         queries_ok ? "yes" : "NO",
     });
   }

@@ -1,10 +1,14 @@
 // Ablation: why partial loading pays — per-query scan cost of columnar
 // data vs raw JSON, and the effect of bitvector row skipping and whole-
-// group skipping on scan time.
+// group skipping on scan time. The BM_RawScreen* cells screen the raw
+// sideline with the query's clause patterns before parsing, cold (a
+// fresh sideline per iteration) and warm (one sideline that remembers
+// its verdicts).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "engine/executor.h"
@@ -111,6 +115,9 @@ void BM_ColumnarSkippingScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnarSkippingScan);
 
+// The paper's raw-parse ablation: the default executor options leave
+// raw_prefilter off, so every sideline record is parsed and none is
+// screened.
 void BM_RawJsonScan(benchmark::State& state) {
   ScanFixture& fx = Fixture();
   QueryExecutor executor(&fx.raw_catalog, &fx.registry);
@@ -121,6 +128,68 @@ void BM_RawJsonScan(benchmark::State& state) {
                           static_cast<int64_t>(fx.ds.records.size()));
 }
 BENCHMARK(BM_RawJsonScan);
+
+ExecutorOptions RawScreenOptions() {
+  ExecutorOptions options;
+  options.raw_prefilter = true;
+  return options;
+}
+
+// A 0.15, a 0.15 and a 0.01 marker clause: most records fail the first
+// clause, so the order the screen runs clauses in decides its cost.
+Query ScreenConjunction() {
+  const auto tier15 = workload::MicroTierPredicates(0.15);
+  Query query;
+  query.clauses = {tier15[0], tier15[1],
+                   workload::MicroTierPredicates(0.01)[0]};
+  return query;
+}
+
+// A first-time raw screen of `query`: each iteration scans a freshly
+// sidelined copy of every record, built outside the timer, so the
+// sideline remembers no verdict.
+void RawScreenCold(benchmark::State& state, const Query& query) {
+  ScanFixture& fx = Fixture();
+  const std::vector<std::string_view> records(fx.ds.records.begin(),
+                                              fx.ds.records.end());
+  std::unique_ptr<TableCatalog> catalog;
+  for (auto _ : state) {
+    state.PauseTiming();
+    catalog = std::make_unique<TableCatalog>(fx.ds.schema);
+    catalog->AppendRawBatch(records);
+    const QueryExecutor executor(catalog.get(), &fx.registry,
+                                 RawScreenOptions());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(executor.ExecuteFullScan(query));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fx.ds.records.size()));
+}
+
+void BM_RawScreenScanCold(benchmark::State& state) {
+  RawScreenCold(state, Fixture().query);
+}
+BENCHMARK(BM_RawScreenScanCold);
+
+void BM_RawScreenConjunctionCold(benchmark::State& state) {
+  RawScreenCold(state, ScreenConjunction());
+}
+BENCHMARK(BM_RawScreenConjunctionCold);
+
+// The same conjunction repeated on one sideline: after the first
+// iteration the screen answers from the verdicts the sideline kept.
+void BM_RawScreenConjunctionWarm(benchmark::State& state) {
+  ScanFixture& fx = Fixture();
+  const Query query = ScreenConjunction();
+  const QueryExecutor executor(&fx.raw_catalog, &fx.registry,
+                               RawScreenOptions());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(executor.ExecuteFullScan(query));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fx.ds.records.size()));
+}
+BENCHMARK(BM_RawScreenConjunctionWarm);
 
 }  // namespace
 

@@ -118,7 +118,7 @@ void AddDecodeStats(const columnar::DecodeStats& d, ScanStats* stats) {
 /// The query's clauses as the learned bits know them.
 struct LearnedClauses {
   /// Per query clause: whether its registry id is among the pushed-down
-  /// ids, and its interned key (engine/learned_bits.h).
+  /// ids, and its interned key (InternClauseKey, predicate/predicate.h).
   std::vector<bool> pushed;
   std::vector<uint32_t> keys;
   /// The keys of the clauses that are not pushed.
@@ -402,12 +402,14 @@ Status ScanSegments(const ScanPlan& plan,
 }
 
 /// Scans the raw sideline with the same evaluator as the row groups.
-/// Records that survive `screen` are parsed on the loader's tape path in
-/// batches of kSidelineBatchRows, and each batch is verified and projected
-/// like a group. A value the converter coerces to NULL therefore matches
-/// nothing here either: a record gets the same answer raw as after it is
-/// promoted or compacted. Sideline rows add nothing to rows_decoded or
-/// rows_evaluated; they have their own raw_* counters.
+/// Records that survive `screen` (RawStore::Screen, which answers from
+/// the verdicts the sideline remembers where it can) are parsed on the
+/// loader's tape path in batches of kSidelineBatchRows, and each batch is
+/// verified and projected like a group. A value the converter coerces to
+/// NULL therefore matches nothing here either: a record gets the same
+/// answer raw as after it is promoted or compacted. Sideline rows add
+/// nothing to rows_decoded or rows_evaluated; they have their own raw_*
+/// counters.
 Status ScanSideline(const RawStore& raw, const RawQueryScreen& screen,
                     const columnar::Schema& schema, const GroupEvaluator& eval,
                     QueryResult* out) {
@@ -422,14 +424,12 @@ Status ScanSideline(const RawStore& raw, const RawQueryScreen& screen,
     out->stats.raw_records_scanned += rows;
     return Status::OK();
   };
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const std::string_view record = raw.Record(i);
-    if (!screen.MaySatisfy(record)) {
-      ++out->stats.raw_records_screened_out;
-      continue;
-    }
+  const std::vector<uint32_t> survivors =
+      raw.Screen(screen, &out->stats.raw_clause_evals).SetBits();
+  out->stats.raw_records_screened_out += raw.size() - survivors.size();
+  for (const uint32_t i : survivors) {
     if (!builder.has_value()) builder.emplace(schema);
-    if (!builder->AppendSerialized(record).ok()) {
+    if (!builder->AppendSerialized(raw.Record(i)).ok()) {
       ++out->stats.raw_parse_errors;
       continue;
     }

@@ -1,7 +1,5 @@
 #include "engine/learned_bits.h"
 
-#include <unordered_map>
-
 namespace ciao {
 
 namespace {
@@ -18,14 +16,6 @@ uint64_t RowsInWord(size_t num_rows, size_t wi) {
 }
 
 }  // namespace
-
-uint32_t InternClauseKey(const std::string& canonical_key) {
-  static std::mutex mu;
-  static auto* ids = new std::unordered_map<std::string, uint32_t>();
-  std::lock_guard<std::mutex> lock(mu);
-  return ids->try_emplace(canonical_key, static_cast<uint32_t>(ids->size()))
-      .first->second;
-}
 
 LearnedBits::LearnedBits(size_t num_groups, uint64_t file_bytes)
     : num_groups_(num_groups), byte_cap_(file_bytes / kLearnedBytesDivisor) {}

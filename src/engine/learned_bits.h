@@ -3,19 +3,11 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "bitvec/bitvector.h"
 
 namespace ciao {
-
-/// A dense id for a clause's canonical key (Clause::CanonicalKey), the
-/// same in every catalog of the process, so learned entries are keyed by
-/// an integer and a query hashes each clause key once, not once per
-/// segment. Ids are never reused; the table grows with the number of
-/// distinct clauses the process has scanned.
-uint32_t InternClauseKey(const std::string& canonical_key);
 
 /// What scans learned about one immutable segment, for the clauses no
 /// client bit covers: per (clause, row group), the rows the typed

@@ -74,6 +74,10 @@ struct ScanStats {
   /// Raw sideline records ruled out by the no-false-negative pattern
   /// screen without being parsed (adaptive full-scan path).
   uint64_t raw_records_screened_out = 0;
+  /// Raw clause programs that screen ran: one per (clause, record) the
+  /// sideline had no remembered verdict for (RawStore::Screen). A
+  /// repeated screen of one sideline runs none.
+  uint64_t raw_clause_evals = 0;
   /// Columns whose encoded payload was actually decoded, summed over
   /// scanned row groups. With a column-grouped (v4) layout this counts
   /// every column of every touched group chunk; with the per-column
@@ -115,6 +119,7 @@ struct ScanStats {
     raw_records_scanned += other.raw_records_scanned;
     raw_parse_errors += other.raw_parse_errors;
     raw_records_screened_out += other.raw_records_screened_out;
+    raw_clause_evals += other.raw_clause_evals;
     columns_decoded += other.columns_decoded;
     bytes_decoded += other.bytes_decoded;
     bytes_decode_waste += other.bytes_decode_waste;

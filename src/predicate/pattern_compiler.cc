@@ -1,5 +1,7 @@
 #include "predicate/pattern_compiler.h"
 
+#include <algorithm>
+
 #include "json/writer.h"
 
 namespace ciao {
@@ -168,8 +170,15 @@ size_t RawClauseProgram::TotalPatternLength() const {
 RawQueryScreen::RawQueryScreen(const Query& query) {
   for (const Clause& clause : query.clauses) {
     if (!clause.SupportedOnClient()) continue;
+    const uint32_t id = InternClauseKey(clause.CanonicalKey());
+    if (std::find(clause_ids_.begin(), clause_ids_.end(), id) !=
+        clause_ids_.end()) {
+      continue;  // c AND c screens like c
+    }
     Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
-    if (program.ok()) programs_.push_back(std::move(program).value());
+    if (!program.ok()) continue;
+    programs_.push_back(std::move(program).value());
+    clause_ids_.push_back(id);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef CIAO_PREDICATE_PATTERN_COMPILER_H_
 #define CIAO_PREDICATE_PATTERN_COMPILER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,22 +73,35 @@ class RawClauseProgram {
 };
 
 /// A query's raw-byte screen: one program per clause that can run on raw
-/// bytes, ANDed. A record survives iff every program matches it; with no
-/// such clause every record survives. Each program has no false
-/// negatives, so a record the screen rules out provably does not satisfy
-/// the query. The sideline pass of a full scan and query-driven JIT
-/// promotion both screen through this.
+/// bytes, ANDed in query order. A record survives iff every program
+/// matches it; with no such clause every record survives. Each program
+/// has no false negatives, so a record the screen rules out provably does
+/// not satisfy the query. Each program carries its clause's interned key
+/// (InternClauseKey), the id under which a raw sideline remembers the
+/// program's verdicts (RawStore::Screen); a clause repeated in the query
+/// is screened once. The sideline pass of a full scan and query-driven
+/// JIT promotion both screen through RawStore::Screen.
 class RawQueryScreen {
  public:
   /// Screens nothing: every record survives.
   RawQueryScreen() = default;
   explicit RawQueryScreen(const Query& query);
 
+  /// Runs every program on `record`, stopping at the first miss: the
+  /// record-at-a-time definition RawStore::Screen must agree with.
   bool MaySatisfy(std::string_view record) const;
   bool empty() const { return programs_.empty(); }
 
+  size_t num_clauses() const { return programs_.size(); }
+  uint32_t clause_id(size_t i) const { return clause_ids_[i]; }
+  /// Runs clause `i`'s program on `record`.
+  bool Matches(size_t i, std::string_view record) const {
+    return programs_[i].Matches(record);
+  }
+
  private:
   std::vector<RawClauseProgram> programs_;
+  std::vector<uint32_t> clause_ids_;
 };
 
 }  // namespace ciao

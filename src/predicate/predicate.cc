@@ -1,7 +1,9 @@
 #include "predicate/predicate.h"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
+#include <unordered_map>
 
 #include "json/writer.h"
 
@@ -89,6 +91,14 @@ std::string Clause::CanonicalKey() const {
     out += keys[i];
   }
   return out;
+}
+
+uint32_t InternClauseKey(const std::string& canonical_key) {
+  static std::mutex mu;
+  static auto* ids = new std::unordered_map<std::string, uint32_t>();
+  std::lock_guard<std::mutex> lock(mu);
+  return ids->try_emplace(canonical_key, static_cast<uint32_t>(ids->size()))
+      .first->second;
 }
 
 std::string Clause::ToSql() const {

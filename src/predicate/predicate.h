@@ -67,6 +67,13 @@ struct Clause {
   static Clause Or(std::vector<SimplePredicate> ps);
 };
 
+/// A dense id for a clause's canonical key (Clause::CanonicalKey), the
+/// same in every catalog of the process, so learned entries are keyed by
+/// an integer and a query hashes each clause key once, not once per
+/// segment. Ids are never reused; the table grows with the number of
+/// distinct clauses the process has scanned.
+uint32_t InternClauseKey(const std::string& canonical_key);
+
 /// A workload query: `SELECT COUNT(*) FROM t WHERE c1 AND c2 AND ...`
 /// (the paper's single query template, §VII-C), optionally extended with
 /// projected columns whose values the executor must materialize for the

@@ -103,20 +103,15 @@ Status ReadSideline(const RewriteInput& input,
       input.select == SidelineSelect::kQueryScreen && input.query != nullptr
           ? RawQueryScreen(*input.query)
           : RawQueryScreen();
+  // candidate -> sideline record index
+  const std::vector<uint32_t> source =
+      raw.Screen(screen, &stats->raw_clause_evals).SetBits();
+  stats->records_unselected += raw.size() - source.size();
   json::JsonChunk candidates;
-  std::vector<uint32_t> source;  // candidate -> sideline record index
   if (screen.empty()) {
     candidates.Reserve(raw.size(), raw.byte_size() + raw.size());
   }
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const std::string_view record = raw.Record(i);
-    if (!screen.MaySatisfy(record)) {
-      ++stats->records_unselected;
-      continue;
-    }
-    candidates.AppendSerialized(record);
-    source.push_back(static_cast<uint32_t>(i));
-  }
+  for (const uint32_t i : source) candidates.AppendSerialized(raw.Record(i));
   *moved = BitVector(raw.size());
   if (candidates.empty()) return Status::OK();
 

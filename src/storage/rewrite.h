@@ -22,7 +22,11 @@ enum class SidelineSelect {
   kAll,
   /// Records the query's raw clause screen cannot rule out (query-driven
   /// JIT promotion). The screen has no false negatives, so a record it
-  /// rules out provably does not satisfy the query.
+  /// rules out provably does not satisfy the query. The sideline
+  /// remembers the screen's verdicts (RawStore::Screen): when nothing is
+  /// published, the query's own full scan right after runs no clause
+  /// program on it (a published promotion leaves a new sideline, which
+  /// remembers nothing).
   kQueryScreen,
   /// Records carrying at least one client-prefilter bit of the registry
   /// (backfill: restores "every record matching a pushed clause is
@@ -94,6 +98,10 @@ struct RewriteStats {
   uint64_t rows_read = 0;
   /// Sideline records the selection left raw, unparsed.
   uint64_t records_unselected = 0;
+  /// Raw clause programs the sideline screen ran: one per (clause,
+  /// record) the sideline had no remembered verdict for
+  /// (RawStore::Screen).
+  uint64_t raw_clause_evals = 0;
   /// Selected sideline records that failed to parse; they stay raw.
   uint64_t parse_failures = 0;
   /// Output shape; set only when published.
