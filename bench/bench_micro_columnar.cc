@@ -15,7 +15,10 @@ using namespace ciao;
 using columnar::ColumnType;
 using columnar::ColumnVector;
 
-ColumnVector MakeColumn(ColumnType type, size_t rows, size_t distinct) {
+/// `rows` random values; strings are `prefix` plus one of `distinct`
+/// numbers.
+ColumnVector MakeColumn(ColumnType type, size_t rows, size_t distinct,
+                        std::string_view prefix = "value_") {
   Rng rng(11);
   ColumnVector col(type);
   for (size_t i = 0; i < rows; ++i) {
@@ -30,7 +33,7 @@ ColumnVector MakeColumn(ColumnType type, size_t rows, size_t distinct) {
         col.AppendBool(rng.NextBool());
         break;
       case ColumnType::kString:
-        col.AppendString("value_" +
+        col.AppendString(std::string(prefix) +
                          std::to_string(rng.NextBounded(distinct)));
         break;
     }
@@ -38,9 +41,10 @@ ColumnVector MakeColumn(ColumnType type, size_t rows, size_t distinct) {
   return col;
 }
 
-void BM_Encode(benchmark::State& state, ColumnType type, size_t distinct) {
+void BM_Encode(benchmark::State& state, ColumnType type, size_t distinct,
+               std::string_view prefix = "value_") {
   const size_t rows = 100000;
-  const ColumnVector col = MakeColumn(type, rows, distinct);
+  const ColumnVector col = MakeColumn(type, rows, distinct, prefix);
   for (auto _ : state) {
     std::string buf;
     columnar::EncodeColumn(col, &buf);
@@ -84,6 +88,12 @@ BENCHMARK_CAPTURE(BM_Encode, double, ColumnType::kDouble, 0);
 BENCHMARK_CAPTURE(BM_Encode, bool, ColumnType::kBool, 0);
 BENCHMARK_CAPTURE(BM_Encode, string_dict, ColumnType::kString, 8);
 BENCHMARK_CAPTURE(BM_Encode, string_plain, ColumnType::kString, 1000000);
+// ~19,900 distinct values: a dictionary with 2-byte codes.
+BENCHMARK_CAPTURE(BM_Encode, string_dict_wide, ColumnType::kString, 20000);
+// ~51,000 distinct values behind a 45-byte shared prefix: just over half
+// the rows, so plain is decided late, near row 95,000.
+BENCHMARK_CAPTURE(BM_Encode, string_url, ColumnType::kString, 65000,
+                  "https://www.example.com/api/v2/catalog/items/");
 BENCHMARK_CAPTURE(BM_Decode, int64, ColumnType::kInt64, 0);
 BENCHMARK_CAPTURE(BM_Decode, double, ColumnType::kDouble, 0);
 BENCHMARK_CAPTURE(BM_Decode, bool, ColumnType::kBool, 0);

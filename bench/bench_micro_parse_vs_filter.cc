@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_gbench_main.h"
+#include "columnar/file_writer.h"
 #include "columnar/json_converter.h"
 #include "json/parser.h"
 #include "matcher/compiled_pattern.h"
@@ -24,6 +25,16 @@ const workload::Dataset& Data() {
     gen.num_records = 2000;
     gen.seed = 9;
     return new workload::Dataset(workload::GenerateYelp(gen));
+  }();
+  return *ds;
+}
+
+const workload::Dataset& YcsbData() {
+  static const auto* ds = [] {
+    workload::GeneratorOptions gen;
+    gen.num_records = 2000;
+    gen.seed = 9;
+    return new workload::Dataset(workload::GenerateYcsb(gen));
   }();
   return *ds;
 }
@@ -83,9 +94,8 @@ BENCHMARK(BM_ParseAndConvert);
 
 // (d) Same full load on the default tape path: single-pass scan,
 // schema-driven extraction, no DOM — the loader's actual cost per
-// relevant record after this PR.
-void BM_TapeConvert(benchmark::State& state) {
-  const auto& ds = Data();
+// relevant record.
+void BM_TapeConvert(benchmark::State& state, const workload::Dataset& ds) {
   for (auto _ : state) {
     columnar::BatchBuilder builder(ds.schema);
     for (const std::string& r : ds.records) {
@@ -96,7 +106,30 @@ void BM_TapeConvert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.records.size()));
 }
+void BM_TapeConvert(benchmark::State& state) { BM_TapeConvert(state, Data()); }
 BENCHMARK(BM_TapeConvert);
+BENCHMARK_CAPTURE(BM_TapeConvert, ycsb, YcsbData());
+
+// (e) One ingest chunk end to end on the server: parse and convert 500
+// records, then encode them into a table file (the partial loader's
+// per-chunk work, without the WAL and the catalog).
+void BM_LoadChunk(benchmark::State& state, const workload::Dataset& ds) {
+  const size_t records = 500;
+  for (auto _ : state) {
+    columnar::BatchBuilder builder(ds.schema);
+    for (size_t i = 0; i < records; ++i) {
+      benchmark::DoNotOptimize(builder.AppendSerialized(ds.records[i]).ok());
+    }
+    columnar::TableWriter writer(ds.schema);
+    benchmark::DoNotOptimize(
+        writer.AppendRowGroup(builder.Finish(), BitVectorSet()).ok());
+    const std::string file = std::move(writer).Finish();
+    benchmark::DoNotOptimize(file.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(records));
+}
+BENCHMARK_CAPTURE(BM_LoadChunk, ycsb, YcsbData());
 
 }  // namespace
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <map>
+#include <numeric>
 #include <vector>
 
 #include "columnar/wire.h"
@@ -33,26 +33,113 @@ void EncodeStringPlain(const ColumnVector& col, std::string* out) {
   wire::PutBytes(col.buffer(), out);
 }
 
-void EncodeStringDictionary(const ColumnVector& col,
-                            const std::map<std::string_view, uint32_t>& dict,
-                            std::string* out) {
-  wire::PutU32(static_cast<uint32_t>(dict.size()), out);
-  // Entries ordered by code: invert the map.
-  std::vector<std::string_view> by_code(dict.size());
-  for (const auto& [value, code] : dict) by_code[code] = value;
-  for (const std::string_view value : by_code) wire::PutBytes(value, out);
+/// Hashes every byte of `s`: URL-like values differ only after long
+/// shared prefixes. Eight bytes at a time; a short tail is read with
+/// overlapping loads that still cover each of its bytes.
+uint64_t HashBytes(std::string_view s) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(s.data());
+  const size_t n = s.size();
+  const auto load = [](const unsigned char* at, size_t bytes) {
+    uint64_t v = 0;
+    std::memcpy(&v, at, bytes);
+    return v;
+  };
+  const auto mix = [](uint64_t h, uint64_t v) {
+    return std::rotl((h ^ v) * kMul, 29);
+  };
+  uint64_t h = n * kMul;
+  if (n >= 8) {
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) h = mix(h, load(p + i, 8));
+    if (i < n) h = mix(h, load(p + n - 8, 8));
+  } else if (n >= 4) {
+    h = mix(h, load(p, 4) | load(p + n - 4, 4) << 32);
+  } else if (n > 0) {
+    h = mix(h, uint64_t{p[0]} | uint64_t{p[n / 2]} << 8 |
+                   uint64_t{p[n - 1]} << 16);
+  }
+  // murmur3's finalizer: every input bit reaches the low (slot) bits.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  return h ^ (h >> 33);
+}
 
-  const uint8_t code_width = dict.size() <= 0xFF ? 1 : 2;
-  wire::PutU8(code_width, out);
-  for (size_t i = 0; i < col.size(); ++i) {
-    // NULL rows get code 0 (any value; validity masks them out).
-    uint32_t code = 0;
-    if (col.IsValid(i)) code = dict.at(col.GetString(i));
-    if (code_width == 1) {
-      wire::PutU8(static_cast<uint8_t>(code), out);
-    } else {
-      wire::PutU8(static_cast<uint8_t>(code & 0xFF), out);
-      wire::PutU8(static_cast<uint8_t>(code >> 8), out);
+/// The distinct values of a string column's valid rows, in first-seen
+/// order, and each row's 1 + index into them (0 on a NULL row).
+struct DistinctValues {
+  std::vector<std::string_view> values;
+  std::vector<uint32_t> row_ids;
+};
+
+/// The one hashed pass over a string column of at least 16 rows.
+/// Returns false, and the column is written plain, as soon as a new
+/// value makes ShouldDictionaryEncode false. The rule is monotone in the
+/// distinct count, so the table never holds more than
+/// min(65,535, rows / 2) values and is sized for that at load <= 1/2.
+bool CollectDistinct(const ColumnVector& col, DistinctValues* distinct) {
+  struct Slot {
+    uint32_t tag = 0;  // the hash's high half
+    uint32_t id = 0;   // 1 + index into values; 0 = empty
+  };
+  const size_t rows = col.size();
+  const size_t max_entries = std::min<size_t>(0xFFFF, rows / 2);
+  std::vector<Slot> table(std::bit_ceil(2 * max_entries));
+  const size_t mask = table.size() - 1;
+  std::vector<std::string_view>& values = distinct->values;
+  distinct->row_ids.assign(rows, 0);
+  for (size_t i = 0; i < rows; ++i) {
+    if (!col.IsValid(i)) continue;
+    const std::string_view value = col.GetString(i);
+    const uint64_t hash = HashBytes(value);
+    const auto tag = static_cast<uint32_t>(hash >> 32);
+    size_t at = hash & mask;
+    while (table[at].id != 0 &&
+           (table[at].tag != tag || values[table[at].id - 1] != value)) {
+      at = (at + 1) & mask;
+    }
+    if (table[at].id == 0) {
+      if (!ShouldDictionaryEncode(values.size() + 1, rows)) return false;
+      values.push_back(value);
+      table[at] = {tag, static_cast<uint32_t>(values.size())};
+    }
+    distinct->row_ids[i] = table[at].id;
+  }
+  return true;
+}
+
+/// Writes the dictionary in std::string_view order (unsigned bytes, then
+/// length) and each row's code as its value's rank in that order.
+void EncodeStringDictionary(const DistinctValues& distinct, std::string* out) {
+  const std::vector<std::string_view>& values = distinct.values;
+  std::vector<uint32_t> by_rank(values.size());
+  std::iota(by_rank.begin(), by_rank.end(), 0);
+  std::sort(by_rank.begin(), by_rank.end(), [&values](uint32_t a, uint32_t b) {
+    return values[a] < values[b];
+  });
+  // code_of[row id]: a NULL row (id 0) gets code 0, like entry 0.
+  std::vector<uint16_t> code_of(values.size() + 1, 0);
+  wire::PutU32(static_cast<uint32_t>(values.size()), out);
+  for (size_t rank = 0; rank < by_rank.size(); ++rank) {
+    code_of[by_rank[rank] + 1] = static_cast<uint16_t>(rank);
+    wire::PutBytes(values[by_rank[rank]], out);
+  }
+
+  const size_t code_width = values.size() <= 0xFF ? 1 : 2;
+  wire::PutU8(static_cast<uint8_t>(code_width), out);
+  const std::vector<uint32_t>& ids = distinct.row_ids;
+  const size_t start = out->size();
+  out->resize(start + ids.size() * code_width);
+  auto* codes = reinterpret_cast<uint8_t*>(out->data() + start);
+  if (code_width == 1) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      codes[i] = static_cast<uint8_t>(code_of[ids[i]]);
+    }
+  } else {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint16_t code = code_of[ids[i]];
+      codes[2 * i] = static_cast<uint8_t>(code & 0xFF);
+      codes[2 * i + 1] = static_cast<uint8_t>(code >> 8);
     }
   }
 }
@@ -193,19 +280,14 @@ bool ShouldDictionaryEncode(size_t distinct, size_t rows) {
 void EncodeColumn(const ColumnVector& column, std::string* out) {
   wire::PutU8(static_cast<uint8_t>(column.type()), out);
 
-  Encoding encoding = Encoding::kPlain;
-  std::map<std::string_view, uint32_t> dict;
-  if (column.type() == ColumnType::kString) {
-    for (size_t i = 0; i < column.size(); ++i) {
-      if (column.IsValid(i)) dict.emplace(column.GetString(i), 0);
-      if (dict.size() > 0xFFFF) break;
-    }
-    if (ShouldDictionaryEncode(dict.size(), column.size())) {
-      encoding = Encoding::kDictionary;
-      uint32_t next = 0;
-      for (auto& [value, code] : dict) code = next++;
-    }
-  }
+  // Under 16 rows no distinct count qualifies: plain, without hashing.
+  DistinctValues distinct;
+  const Encoding encoding =
+      column.type() == ColumnType::kString &&
+              ShouldDictionaryEncode(0, column.size()) &&
+              CollectDistinct(column, &distinct)
+          ? Encoding::kDictionary
+          : Encoding::kPlain;
   wire::PutU8(static_cast<uint8_t>(encoding), out);
   wire::PutU64(column.size(), out);
   column.validity().SerializeTo(out);
@@ -232,7 +314,7 @@ void EncodeColumn(const ColumnVector& column, std::string* out) {
       break;
     case ColumnType::kString:
       if (encoding == Encoding::kDictionary) {
-        EncodeStringDictionary(column, dict, out);
+        EncodeStringDictionary(distinct, out);
       } else {
         EncodeStringPlain(column, out);
       }

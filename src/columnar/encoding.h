@@ -21,6 +21,18 @@ enum class Encoding : uint8_t {
 /// Encodes a column: [type u8][encoding u8][num_rows u64][validity]
 /// [payload]. The encoding choice is embedded so readers are
 /// self-describing.
+///
+/// A string column is chosen plain or dictionary in one hashed pass over
+/// its valid rows, which gives each row the id of its value in
+/// first-seen order. The pass stops, and the column is written plain, as
+/// soon as the distinct count makes ShouldDictionaryEncode false; the
+/// rule is monotone in that count, so the table never holds more than
+/// min(65,535, rows / 2) values. Columns under 16 rows are written plain
+/// without hashing. A dictionary lists its values in std::string_view
+/// order (unsigned bytes, then length), and a row's code is its value's
+/// rank in that order: 1 byte with at most 255 entries, else 2. NULL
+/// rows get code 0. A decoded dictionary column is hashed like any
+/// other.
 void EncodeColumn(const ColumnVector& column, std::string* out);
 
 /// Decodes one column starting at `*offset`; advances past it. Whole
@@ -40,8 +52,9 @@ void EncodeColumn(const ColumnVector& column, std::string* out);
 /// than 1 or 2; and a code outside the dictionary on a valid row.
 Result<ColumnVector> DecodeColumn(std::string_view buffer, size_t* offset);
 
-/// Heuristic used by EncodeColumn, exposed for tests: dictionary pays off
-/// when distinct < 1/2 of rows and fits narrow codes.
+/// The one rule EncodeColumn applies, exposed for tests: dictionary pays
+/// off from 16 rows when distinct <= rows / 2 and fits 2-byte codes
+/// (distinct <= 65,535).
 bool ShouldDictionaryEncode(size_t distinct, size_t rows);
 
 }  // namespace ciao::columnar

@@ -1,6 +1,7 @@
 #include "columnar/file_writer.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "columnar/encoding.h"
 #include "columnar/wire.h"
@@ -146,9 +147,12 @@ Status TableWriter::AppendRowGroup(const RecordBatch& batch,
     // skippable.
     wire::PutU32(static_cast<uint32_t>(batch.num_columns()), &body);
     for (size_t c = 0; c < batch.num_columns(); ++c) {
-      std::string encoded;
-      EncodeColumn(batch.column(c), &encoded);
-      wire::PutBytes(encoded, &body);
+      // Encoded in place after a length slot filled in afterwards.
+      const size_t length_at = body.size();
+      wire::PutU32(0, &body);
+      EncodeColumn(batch.column(c), &body);
+      const auto length = static_cast<uint32_t>(body.size() - length_at - 4);
+      std::memcpy(body.data() + length_at, &length, 4);
     }
   } else {
     // v4 grouped body: directory of per-chunk (columns, length, crc),
@@ -191,6 +195,9 @@ std::string TableWriter::Finish() && {
   wire::PutU32(kFooterMarker, &buffer_);
   wire::PutU32(static_cast<uint32_t>(num_groups_), &buffer_);
   buffer_.append(kEndMagic);
+  // Appends left up to half the capacity unused; an in-RAM segment keeps
+  // these bytes for its whole life, so seal them at their size.
+  buffer_.shrink_to_fit();
   return std::move(buffer_);
 }
 

@@ -91,7 +91,8 @@ class TableWriter {
 
   size_t num_row_groups() const { return num_groups_; }
 
-  /// Finalizes and returns the file bytes. The writer is consumed.
+  /// Finalizes and returns the file bytes, with capacity() equal to
+  /// size(). The writer is consumed.
   std::string Finish() &&;
 
  private:

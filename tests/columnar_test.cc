@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <set>
 
 #include "columnar/encoding.h"
 #include "columnar/file_reader.h"
@@ -14,6 +16,7 @@
 #include "common/crc32.h"
 #include "common/random.h"
 #include "json/parser.h"
+#include "workload/dataset.h"
 
 namespace ciao::columnar {
 namespace {
@@ -293,6 +296,22 @@ TEST(TableFileTest, WriteReadRoundTripWithAnnotations) {
 
   EXPECT_TRUE(reader->ReadMeta(2).status().IsOutOfRange());
   EXPECT_TRUE(reader->ReadBatch(2).status().IsOutOfRange());
+}
+
+TEST(TableFileTest, FinishedFileCarriesNoSpareCapacity) {
+  // An in-RAM segment keeps the finished string for its whole life, so
+  // the slack that doubling appends leave behind must not come with it.
+  Rng rng(86);
+  TableWriter writer(MakeBatch(1, &rng).schema());
+  for (const size_t rows : {300, 1000, 77}) {
+    const RecordBatch batch = MakeBatch(rows, &rng);
+    ASSERT_TRUE(writer.AppendRowGroup(batch, BitVectorSet()).ok());
+  }
+  const std::string file = std::move(writer).Finish();
+  EXPECT_EQ(file.capacity(), file.size());
+  auto reader = TableReader::Open(file);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(*reader->TotalRows(), 1377u);
 }
 
 TEST(TableFileTest, EmptyAnnotationsAllowed) {
@@ -917,6 +936,381 @@ TEST(DecoderContractTest, TableWriterReencodesDecodedBatchesByteForByte) {
     TableWriter again(schema, layout);
     ASSERT_TRUE(again.AppendRowGroup(*decoded, annotations).ok());
     EXPECT_EQ(std::move(again).Finish(), original);
+  }
+}
+
+// ---------- Encoder: byte for byte against the std::map reference ----------
+
+/// The encoder as it was before the one hashed pass, kept as the
+/// reference: every valid string goes into a std::map until it holds
+/// more than 65,535 values, the rule below picks the encoding, and a
+/// dictionary row's code is its value's rank in the map. One PutU8 per
+/// code byte.
+std::string ReferenceEncodeColumn(const ColumnVector& column) {
+  std::string out;
+  wire::PutU8(static_cast<uint8_t>(column.type()), &out);
+  Encoding encoding = Encoding::kPlain;
+  std::map<std::string_view, uint32_t> dict;
+  if (column.type() == ColumnType::kString) {
+    for (size_t i = 0; i < column.size(); ++i) {
+      if (column.IsValid(i)) dict.emplace(column.GetString(i), 0);
+      if (dict.size() > 0xFFFF) break;
+    }
+    const size_t rows = column.size();
+    if (rows >= 16 && dict.size() <= 0xFFFF && dict.size() * 2 <= rows) {
+      encoding = Encoding::kDictionary;
+      uint32_t next = 0;
+      for (auto& [value, code] : dict) code = next++;
+    }
+  }
+  wire::PutU8(static_cast<uint8_t>(encoding), &out);
+  wire::PutU64(column.size(), &out);
+  column.validity().SerializeTo(&out);
+  switch (column.type()) {
+    case ColumnType::kInt64:
+      for (const int64_t v : column.ints()) wire::PutI64(v, &out);
+      break;
+    case ColumnType::kDouble:
+      for (const double v : column.doubles()) wire::PutF64(v, &out);
+      break;
+    case ColumnType::kBool:
+      column.bools().SerializeTo(&out);
+      break;
+    case ColumnType::kString:
+      if (encoding == Encoding::kDictionary) {
+        wire::PutU32(static_cast<uint32_t>(dict.size()), &out);
+        for (const auto& [value, code] : dict) wire::PutBytes(value, &out);
+        const uint8_t code_width = dict.size() <= 0xFF ? 1 : 2;
+        wire::PutU8(code_width, &out);
+        for (size_t i = 0; i < column.size(); ++i) {
+          const uint32_t code =
+              column.IsValid(i) ? dict.at(column.GetString(i)) : 0;
+          wire::PutU8(static_cast<uint8_t>(code & 0xFF), &out);
+          if (code_width == 2) {
+            wire::PutU8(static_cast<uint8_t>(code >> 8), &out);
+          }
+        }
+        break;
+      }
+      if (column.has_dictionary()) {
+        ColumnVector arena(ColumnType::kString);
+        for (size_t i = 0; i < column.size(); ++i) {
+          if (column.IsValid(i)) {
+            arena.AppendString(column.GetString(i));
+          } else {
+            arena.AppendNull();
+          }
+        }
+        return out + ReferenceEncodeColumn(arena).substr(out.size());
+      }
+      for (const uint32_t off : column.offsets()) wire::PutU32(off, &out);
+      wire::PutBytes(column.buffer(), &out);
+      break;
+  }
+  return out;
+}
+
+/// Expects EncodeColumn to write the reference's bytes for `column` and
+/// for the column its output decodes to. Returns the encoding written.
+Encoding ExpectEncodesLikeReference(const ColumnVector& column) {
+  std::string encoded;
+  EncodeColumn(column, &encoded);
+  const std::string expected = ReferenceEncodeColumn(column);
+  EXPECT_EQ(encoded.size(), expected.size());
+  EXPECT_TRUE(encoded == expected) << "rows " << column.size();
+  size_t offset = 0;
+  auto decoded = DecodeColumn(encoded, &offset);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (decoded.ok()) {
+    std::string again;
+    EncodeColumn(*decoded, &again);
+    EXPECT_TRUE(again == ReferenceEncodeColumn(*decoded))
+        << "decoded form, rows " << column.size();
+  }
+  return static_cast<Encoding>(encoded[1]);
+}
+
+/// `distinct` different strings from `draw`.
+template <typename Draw>
+std::vector<std::string> DistinctStrings(size_t distinct, Draw draw) {
+  std::set<std::string> seen;
+  std::vector<std::string> values;
+  while (values.size() < distinct) {
+    std::string value = draw();
+    if (seen.insert(value).second) values.push_back(std::move(value));
+  }
+  return values;
+}
+
+/// A string column of `valid` valid rows holding exactly the `values`
+/// (each at least once, in random order) and `nulls` NULL rows between
+/// them.
+ColumnVector StringColumn(const std::vector<std::string>& values,
+                          size_t valid, size_t nulls, Rng* rng) {
+  std::vector<size_t> picks(valid);
+  for (size_t i = 0; i < valid; ++i) {
+    picks[i] = i < values.size() ? i : rng->NextBounded(values.size());
+  }
+  rng->Shuffle(&picks);
+  std::vector<uint8_t> is_null(valid + nulls, 0);
+  std::fill(is_null.begin(), is_null.begin() + nulls, 1);
+  rng->Shuffle(&is_null);
+  ColumnVector col(ColumnType::kString);
+  size_t next = 0;
+  for (const uint8_t null : is_null) {
+    if (null) {
+      col.AppendNull();
+    } else {
+      col.AppendString(values[picks[next++]]);
+    }
+  }
+  return col;
+}
+
+/// Up to `max_len` bytes of any value, NUL and bytes >= 0x80 included.
+std::string RandomBytes(size_t max_len, Rng* rng) {
+  std::string s(rng->NextBounded(max_len + 1), '\0');
+  for (char& c : s) c = static_cast<char>(rng->NextBounded(256));
+  return s;
+}
+
+TEST(EncoderDifferentialTest, EveryEdgeOfTheDecisionRule) {
+  Rng rng(241);
+  const auto bytes = [&rng] { return RandomBytes(12, &rng); };
+  struct Case {
+    size_t rows;
+    size_t distinct;
+    size_t nulls;
+    Encoding want;
+  };
+  const std::vector<Case> cases = {
+      {15, 1, 0, Encoding::kPlain},          // under 16 rows
+      {15, 7, 3, Encoding::kPlain},          //
+      {16, 1, 0, Encoding::kDictionary},     // the floor
+      {16, 8, 0, Encoding::kDictionary},     // rows / 2
+      {16, 9, 0, Encoding::kPlain},          // rows / 2 + 1
+      {17, 8, 5, Encoding::kDictionary},     // odd rows: floor(rows / 2)
+      {17, 9, 5, Encoding::kPlain},          //
+      {1000, 500, 100, Encoding::kDictionary},
+      {1000, 501, 100, Encoding::kPlain},
+      {1001, 500, 0, Encoding::kDictionary},
+      {1001, 501, 0, Encoding::kPlain},
+      {2000, 255, 50, Encoding::kDictionary},  // the last 1-byte width
+      {2000, 256, 50, Encoding::kDictionary},  // the first 2-byte width
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("rows " + std::to_string(c.rows) + " distinct " +
+                 std::to_string(c.distinct));
+    const std::vector<std::string> values =
+        DistinctStrings(c.distinct, bytes);
+    const ColumnVector col =
+        StringColumn(values, c.rows - c.nulls, c.nulls, &rng);
+    EXPECT_EQ(ExpectEncodesLikeReference(col), c.want);
+  }
+}
+
+TEST(EncoderDifferentialTest, EdgesOfTheDictionaryCapacity) {
+  // 65,535 distinct values is the widest dictionary; 65,536 is plain even
+  // though it is under half the rows.
+  Rng rng(251);
+  const auto numbered = [&rng] {
+    return "k" + std::to_string(rng.NextBounded(1u << 30));
+  };
+  const std::vector<std::string> values = DistinctStrings(65536, numbered);
+  const std::vector<std::string> widest(values.begin(), values.end() - 1);
+  EXPECT_EQ(ExpectEncodesLikeReference(
+                StringColumn(widest, 2 * 65535 - 7, 7, &rng)),
+            Encoding::kDictionary);
+  EXPECT_EQ(ExpectEncodesLikeReference(
+                StringColumn(values, 2 * 65536 + 5, 9, &rng)),
+            Encoding::kPlain);
+  // Both rules at once: one more row would not make 65,536 values fit.
+  EXPECT_EQ(ExpectEncodesLikeReference(
+                StringColumn(widest, 2 * 65535 - 1, 0, &rng)),
+            Encoding::kPlain);
+}
+
+TEST(EncoderDifferentialTest, ValuesThatOrderByBytesAndLength) {
+  Rng rng(257);
+  std::vector<std::vector<std::string>> value_sets = {
+      // Empty strings only, and empty beside others.
+      {""},
+      {"", "a", "b"},
+      // Bytes >= 0x80 sort after ASCII as unsigned bytes.
+      {"\x80", "\xff", "a", "\x7f", "z\x90", "z", "\xc3\xa9t\xc3\xa9"},
+      // Embedded NUL, and prefix pairs: shorter first.
+      {std::string("a\0b", 3), std::string("a\0", 2), "a", "ab", "abc",
+       std::string("\0", 1), std::string("\0\0", 2)},
+  };
+  // Long shared prefixes, differing only in the last bytes.
+  const std::string prefix =
+      "https://www.example.com/api/v2/catalog/items/" + std::string(200, 'p');
+  value_sets.push_back(DistinctStrings(40, [&] {
+    return prefix + std::to_string(rng.NextBounded(1000));
+  }));
+  value_sets.push_back(DistinctStrings(300, [&] {
+    return prefix.substr(0, rng.NextBounded(prefix.size() + 1)) +
+           RandomBytes(3, &rng);
+  }));
+  for (const std::vector<std::string>& values : value_sets) {
+    for (const size_t rows : {values.size(), 2 * values.size() + 16}) {
+      const size_t nulls = rows / 5;
+      if (rows - nulls < values.size()) continue;
+      SCOPED_TRACE("distinct " + std::to_string(values.size()) + " rows " +
+                   std::to_string(rows));
+      ExpectEncodesLikeReference(
+          StringColumn(values, rows - nulls, nulls, &rng));
+    }
+  }
+}
+
+TEST(EncoderDifferentialTest, AllNullColumns) {
+  // At 16 rows and more an all-NULL column is a dictionary of no entries.
+  for (const size_t rows : {0, 1, 15, 16, 17, 1000}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    ColumnVector col(ColumnType::kString);
+    for (size_t i = 0; i < rows; ++i) col.AppendNull();
+    EXPECT_EQ(ExpectEncodesLikeReference(col),
+              rows >= 16 ? Encoding::kDictionary : Encoding::kPlain);
+  }
+}
+
+TEST(EncoderDifferentialTest, DecodedDictionaryColumnsEncodeAgain) {
+  // Hand-built dictionary columns the encoder would not write: entries
+  // out of order, entries no valid row uses, a NULL row coded past
+  // entry 0, and more entries than half the rows.
+  struct Case {
+    std::vector<std::string> entries;
+    uint8_t width;
+  };
+  Rng rng(263);
+  for (const Case& c :
+       {Case{{"zeta", "alpha", "mid", "unused"}, 1},
+        Case{{"b", "a"}, 2},
+        Case{DistinctStrings(40, [&rng] { return RandomBytes(6, &rng); }), 1},
+        Case{DistinctStrings(300, [&rng] { return RandomBytes(6, &rng); }),
+             2}}) {
+    for (const size_t rows : {15, 16, 40, 100, 1000}) {
+      std::vector<bool> valid(rows);
+      std::vector<uint32_t> codes(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        valid[i] = !rng.NextBool(0.2);
+        codes[i] = static_cast<uint32_t>(rng.NextBounded(c.entries.size()));
+      }
+      const std::string bytes =
+          DictionaryColumnBytes(valid, c.entries, c.width, codes);
+      size_t offset = 0;
+      auto decoded = DecodeColumn(bytes, &offset);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      SCOPED_TRACE("entries " + std::to_string(c.entries.size()) + " rows " +
+                   std::to_string(rows));
+      ExpectEncodesLikeReference(*decoded);
+    }
+  }
+}
+
+/// `records` converted into row groups of `group_rows` rows.
+std::vector<RecordBatch> RowGroups(const workload::Dataset& ds,
+                                   size_t records, size_t group_rows) {
+  std::vector<RecordBatch> groups;
+  BatchBuilder builder(ds.schema);
+  for (size_t i = 0; i < records; ++i) {
+    EXPECT_TRUE(builder.AppendSerialized(ds.records[i]).ok());
+    if (builder.num_rows() == group_rows || i + 1 == records) {
+      groups.push_back(builder.Finish());
+    }
+  }
+  return groups;
+}
+
+TEST(EncoderDifferentialTest, EveryColumnOfTheThreeDatasets) {
+  workload::GeneratorOptions gen;
+  gen.num_records = 8192;
+  gen.seed = 269;
+  for (const workload::Dataset& ds :
+       {workload::GenerateYcsb(gen), workload::GenerateWinLog(gen),
+        workload::GenerateYelp(gen)}) {
+    for (const size_t group_rows : {500, 1000, 4096}) {
+      SCOPED_TRACE(ds.name + " groups of " + std::to_string(group_rows));
+      for (const RecordBatch& batch :
+           RowGroups(ds, ds.records.size(), group_rows)) {
+        for (size_t c = 0; c < batch.num_columns(); ++c) {
+          SCOPED_TRACE(ds.schema.field(c).name);
+          ExpectEncodesLikeReference(batch.column(c));
+        }
+      }
+    }
+  }
+}
+
+/// 64-bit FNV-1a over every byte.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<uint8_t>(c)) * 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(EncoderDifferentialTest, TableFilesKeepTheirBytes) {
+  // Two 500-record row groups of fixed-seed records, with two annotation
+  // vectors, in a v3 (per-column) body and in a grouped v4 layout of the
+  // shape the column-grouping miner produces (co-accessed columns
+  // together, cold columns in one chunk). The hashes and sizes are those
+  // of the std::map encoder that preceded the one hashed pass.
+  //
+  // Not a CRC-32 of the file: each row group ends with the CRC-32 of its
+  // header and body, and a CRC over data followed by that data's own CRC
+  // is the same whatever the data, so a whole-file CRC-32 cannot see a
+  // change inside a body (dictionary entries in another order kept it).
+  struct Pinned {
+    workload::DatasetKind kind;
+    ColumnGroupLayout v4;
+    uint64_t v3_hash;
+    size_t v3_size;
+    uint64_t v4_hash;
+    size_t v4_size;
+  };
+  ColumnGroupLayout ycsb_v4;
+  // {age, age_group, eye_color}, {guid}, {company, email, url.domain},
+  // then the other 21 columns.
+  ycsb_v4.groups = {{4, 5, 9}, {1}, {12, 13, 22}, {}};
+  for (uint32_t c = 0; c < 27; ++c) {
+    if (c != 1 && c != 4 && c != 5 && c != 9 && c != 12 && c != 13 &&
+        c != 22) {
+      ycsb_v4.groups.back().push_back(c);
+    }
+  }
+  ColumnGroupLayout winlog_v4;
+  winlog_v4.groups = {{0}, {1, 2}, {3}};  // {time}, {level, source}, {info}
+  const std::vector<Pinned> pinned = {
+      {workload::DatasetKind::kYcsb, ycsb_v4, 0x9E8EECC90AF34310, 293040,
+       0x4724B373EC1F1437, 293152},
+      {workload::DatasetKind::kWinLog, winlog_v4, 0x08FD25DA4A526F3A, 147829,
+       0x8FCA99A4CEB493EA, 147917},
+  };
+  for (const Pinned& p : pinned) {
+    workload::GeneratorOptions gen;
+    gen.num_records = 1000;
+    gen.seed = 271;
+    const workload::Dataset ds = workload::GenerateDataset(p.kind, gen);
+    SCOPED_TRACE(ds.name);
+    Rng rng(277);
+    for (const bool grouped : {false, true}) {
+      TableWriter writer(ds.schema,
+                         grouped ? p.v4 : ColumnGroupLayout{});
+      for (const RecordBatch& batch : RowGroups(ds, ds.records.size(), 500)) {
+        BitVectorSet annotations(2, batch.num_rows());
+        for (size_t r = 0; r < batch.num_rows(); ++r) {
+          annotations.mutable_vector(0)->Set(r, rng.NextBool(0.3));
+          annotations.mutable_vector(1)->Set(r, rng.NextBool(0.05));
+        }
+        ASSERT_TRUE(writer.AppendRowGroup(batch, annotations).ok());
+      }
+      const std::string file = std::move(writer).Finish();
+      EXPECT_EQ(Fnv1a64(file), grouped ? p.v4_hash : p.v3_hash);
+      EXPECT_EQ(file.size(), grouped ? p.v4_size : p.v3_size);
+    }
   }
 }
 
