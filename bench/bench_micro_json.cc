@@ -3,6 +3,8 @@
 // bottleneck CIAO avoids for irrelevant records). BM_Parse is the DOM
 // oracle; BM_TapeParse is the zero-allocation tape hot path the loader
 // uses, with allocations-per-record measured by a counting allocator.
+// BM_ChunkMessageDecode is the server's transport decode of one ingest
+// message, which frames the NDJSON payload into records.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include "json/parser.h"
 #include "json/tape_parser.h"
 #include "json/writer.h"
+#include "storage/transport.h"
 #include "workload/dataset.h"
 
 CIAO_BENCH_DEFINE_ALLOC_COUNTER()
@@ -92,6 +95,29 @@ void BM_WriteRoundTrip(benchmark::State& state, workload::DatasetKind kind) {
                           static_cast<int64_t>(parsed.size()));
 }
 
+// One 500-record CMG2 message without predicates, as a budget-0 client
+// sends it: the decode copies the payload and finds the record
+// boundaries.
+void BM_ChunkMessageDecode(benchmark::State& state,
+                           workload::DatasetKind kind) {
+  const auto& ds = Data(kind);
+  const size_t records = 500;
+  ChunkMessage msg;
+  for (size_t i = 0; i < records; ++i) {
+    msg.chunk.AppendSerialized(ds.records[i]);
+  }
+  std::string wire;
+  msg.SerializeTo(&wire);
+  for (auto _ : state) {
+    Result<ChunkMessage> decoded = ChunkMessage::Deserialize(wire);
+    benchmark::DoNotOptimize(decoded.ok());
+    benchmark::DoNotOptimize(decoded->chunk.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(records));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(wire.size()));
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Parse, winlog, ciao::workload::DatasetKind::kWinLog);
@@ -102,5 +128,7 @@ BENCHMARK_CAPTURE(BM_TapeParse, yelp, ciao::workload::DatasetKind::kYelp);
 BENCHMARK_CAPTURE(BM_TapeParse, ycsb, ciao::workload::DatasetKind::kYcsb);
 BENCHMARK_CAPTURE(BM_WriteRoundTrip, yelp,
                   ciao::workload::DatasetKind::kYelp);
+BENCHMARK_CAPTURE(BM_ChunkMessageDecode, ycsb,
+                  ciao::workload::DatasetKind::kYcsb);
 
 CIAO_BENCH_JSON_MAIN("bench_micro_json")

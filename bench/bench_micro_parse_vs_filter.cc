@@ -29,6 +29,16 @@ const workload::Dataset& Data() {
   return *ds;
 }
 
+const workload::Dataset& WinLogData() {
+  static const auto* ds = [] {
+    workload::GeneratorOptions gen;
+    gen.num_records = 2000;
+    gen.seed = 9;
+    return new workload::Dataset(workload::GenerateWinLog(gen));
+  }();
+  return *ds;
+}
+
 const workload::Dataset& YcsbData() {
   static const auto* ds = [] {
     workload::GeneratorOptions gen;
@@ -130,6 +140,21 @@ void BM_LoadChunk(benchmark::State& state, const workload::Dataset& ds) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(records));
 }
 BENCHMARK_CAPTURE(BM_LoadChunk, ycsb, YcsbData());
+
+// (f) Building the converter alone. Ingest builds one per chunk, every
+// rewrite one per output and the sideline scan one per query, so the
+// schema's key map must stay cheap to build.
+void BM_BatchBuilderConstruct(benchmark::State& state,
+                              const workload::Dataset& ds) {
+  for (auto _ : state) {
+    columnar::BatchBuilder builder(ds.schema);
+    benchmark::DoNotOptimize(&builder);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_BatchBuilderConstruct, winlog, WinLogData());
+BENCHMARK_CAPTURE(BM_BatchBuilderConstruct, ycsb, YcsbData());
 
 }  // namespace
 

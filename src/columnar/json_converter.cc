@@ -1,26 +1,63 @@
 #include "columnar/json_converter.h"
 
+#include <algorithm>
+#include <bit>
 #include <map>
 
 namespace ciao::columnar {
 
 BatchBuilder::BatchBuilder(Schema schema)
     : schema_(schema), batch_(std::move(schema)) {
-  field_paths_.reserve(schema_.num_fields());
-  for (size_t c = 0; c < schema_.num_fields(); ++c) {
-    const std::string& name = schema_.field(c).name;
-    std::vector<std::string> segments;
+  size_t segments = 0;
+  for (const Field& field : schema_.fields()) {
+    segments += 1 + static_cast<size_t>(
+                        std::count(field.name.begin(), field.name.end(), '.'));
+  }
+  keys_.reserve(segments);
+  key_slots_.assign(std::bit_ceil(2 * segments + 2), kNone);
+  field_key_.reserve(schema_.num_fields());
+  uint32_t levels = 1;
+  for (const Field& field : schema_.fields()) {
+    const std::string_view name = field.name;
+    uint32_t level = 0;
     size_t start = 0;
-    while (start <= name.size()) {
+    while (true) {
       const size_t dot = name.find('.', start);
-      if (dot == std::string::npos) {
-        segments.push_back(name.substr(start));
+      const std::string_view segment = name.substr(start, dot - start);
+      const size_t slot = FindSlot(level, segment);
+      if (key_slots_[slot] == kNone) {
+        key_slots_[slot] = static_cast<uint32_t>(keys_.size());
+        keys_.push_back(KeyEntry{segment, level});
+      }
+      const uint32_t k = key_slots_[slot];
+      if (dot == std::string_view::npos) {
+        field_key_.push_back(k);
         break;
       }
-      segments.push_back(name.substr(start, dot - start));
+      if (keys_[k].child == kNone) keys_[k].child = levels++;
+      level = keys_[k].child;
       start = dot + 1;
     }
-    field_paths_.push_back(std::move(segments));
+  }
+}
+
+size_t BatchBuilder::FindSlot(uint32_t level, std::string_view key) const {
+  // The length and three sampled bytes tell a schema's keys apart well
+  // enough; linear probing settles the rest.
+  uint64_t h = key.size() ^ (uint64_t{level} << 40);
+  if (!key.empty()) {
+    h ^= uint64_t{static_cast<unsigned char>(key.front())} << 8 |
+         uint64_t{static_cast<unsigned char>(key[key.size() / 2])} << 16 |
+         uint64_t{static_cast<unsigned char>(key.back())} << 24;
+  }
+  const size_t mask = key_slots_.size() - 1;
+  size_t slot = static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+  while (true) {
+    const uint32_t k = key_slots_[slot];
+    if (k == kNone || (keys_[k].level == level && keys_[k].key == key)) {
+      return slot;
+    }
+    slot = (slot + 1) & mask;
   }
 }
 
@@ -80,19 +117,32 @@ Status BatchBuilder::AppendSerialized(std::string_view serialized) {
   return Status::OK();
 }
 
+void BatchBuilder::WalkObject(size_t obj_index, uint32_t level) {
+  const size_t end = obj_index + tape_.token(obj_index).extent - 1;
+  size_t i = obj_index + 1;
+  while (i < end) {
+    const size_t value = i + 1;
+    const uint32_t k = key_slots_[FindSlot(
+        level, tape_.DecodedString(tape_.token(i), &decode_scratch_))];
+    if (k != kNone && keys_[k].value == json::Tape::npos) {
+      keys_[k].value = value;
+      if (keys_[k].child != kNone &&
+          tape_.token(value).kind == json::TapeKind::kObjectStart) {
+        WalkObject(value, keys_[k].child);
+      }
+    }
+    i = value + tape_.token(value).extent;
+  }
+}
+
 void BatchBuilder::AppendFromTape() {
   using json::TapeKind;
+  for (KeyEntry& key : keys_) key.value = json::Tape::npos;
+  if (tape_.token(0).kind == TapeKind::kObjectStart) WalkObject(0, 0);
   for (size_t c = 0; c < schema_.num_fields(); ++c) {
     const Field& field = schema_.field(c);
     ColumnVector* col = batch_.mutable_column(c);
-    // Walk the pre-split dotted path down the tape. A non-object at any
-    // step (including a non-object root) is a miss, exactly like
-    // Value::FindPath returning nullptr.
-    size_t idx = 0;
-    for (const std::string& segment : field_paths_[c]) {
-      idx = tape_.FindField(idx, segment);
-      if (idx == json::Tape::npos) break;
-    }
+    const size_t idx = keys_[field_key_[c]].value;
     if (idx == json::Tape::npos ||
         tape_.token(idx).kind == TapeKind::kNull) {
       col->AppendNull();

@@ -1,6 +1,7 @@
 #ifndef CIAO_COLUMNAR_JSON_CONVERTER_H_
 #define CIAO_COLUMNAR_JSON_CONVERTER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,8 +20,16 @@ namespace ciao::columnar {
 /// append columnar values.
 ///
 /// Serialized records take the zero-allocation tape path: one single-pass
-/// scan onto a reusable token tape, then only the schema's columns are
-/// pulled off the tape — no DOM is materialized. AppendParsed converts an
+/// scan onto a reusable token tape, then one pass over the record's keys
+/// pulls the schema's columns off it — no DOM is materialized. A key map,
+/// built from the schema at construction, sends each key of an object
+/// level to the fields it ends and, for a dotted path's parent key, into
+/// its nested object, so each key of the record is looked up once. The
+/// map keeps the rules of Value::FindPath: keys match on their decoded
+/// bytes, the first occurrence of a key in an object wins, a path descends
+/// only into the first occurrence of its parent key and only if that is an
+/// object, empty segments are kept, a literal dotted key never matches a
+/// path, and a non-object root resolves nothing. AppendParsed converts an
 /// already-parsed DOM with the same rules; tests/tape_parser_test.cc pins
 /// json::Parse + AppendParsed and AppendSerialized to identical batches.
 ///
@@ -32,6 +41,11 @@ namespace ciao::columnar {
 class BatchBuilder {
  public:
   explicit BatchBuilder(Schema schema);
+
+  // The key map views the field names of `schema_`, which a copy or a
+  // move would not carry along.
+  BatchBuilder(const BatchBuilder&) = delete;
+  BatchBuilder& operator=(const BatchBuilder&) = delete;
 
   /// Appends one parsed record.
   void AppendParsed(const json::Value& record);
@@ -48,6 +62,24 @@ class BatchBuilder {
   RecordBatch Finish();
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// One key of one object level of the schema's paths. Level 0 is the
+  /// record's root object; a key that is a parent segment of some path
+  /// leads into a level of its own.
+  struct KeyEntry {
+    std::string_view key;   // one path segment, a view into schema_
+    uint32_t level = 0;
+    uint32_t child = kNone;  // the level this key leads into, if any
+    /// Tape index of the value of the key's first occurrence in the
+    /// current record, or Tape::npos.
+    size_t value = json::Tape::npos;
+  };
+
+  /// The slot of `key` at `level` in key_slots_, or the empty slot where
+  /// it would go.
+  size_t FindSlot(uint32_t level, std::string_view key) const;
+  void WalkObject(size_t obj_index, uint32_t level);
   void AppendFromTape();
 
   Schema schema_;
@@ -55,14 +87,20 @@ class BatchBuilder {
   size_t coercion_errors_ = 0;
   size_t parse_errors_ = 0;
 
+  // The key map: every distinct (level, segment) of the schema's paths
+  // split exactly like Value::FindPath, an open-addressed table of their
+  // indexes (kNone = empty slot, at most half full), and each field's
+  // last-segment key.
+  std::vector<KeyEntry> keys_;
+  std::vector<uint32_t> key_slots_;
+  std::vector<uint32_t> field_key_;
+
   // Tape state, reused across records so steady-state appends do not
-  // allocate: the parser's number scratch, the token tape, the
-  // escaped-string decode scratch, and each field's pre-split dotted path
-  // (split exactly like Value::FindPath, empty segments preserved).
+  // allocate: the parser's number scratch, the token tape and the
+  // escaped-string decode scratch.
   json::TapeParser tape_parser_;
   json::Tape tape_;
   std::string decode_scratch_;
-  std::vector<std::vector<std::string>> field_paths_;
 };
 
 /// Infers a flat schema from sample records: scalar top-level (and

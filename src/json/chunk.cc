@@ -1,5 +1,7 @@
 #include "json/chunk.h"
 
+#include <cstring>
+
 #include "json/writer.h"
 
 namespace ciao::json {
@@ -42,14 +44,17 @@ Result<JsonChunk> JsonChunk::FromNdjson(std::string buffer) {
   }
   JsonChunk chunk;
   chunk.data_ = std::move(buffer);
-  size_t start = 0;
-  const std::string& data = chunk.data_;
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (data[i] == '\n') {
-      chunk.offsets_.push_back(static_cast<uint32_t>(start));
-      chunk.lengths_.push_back(static_cast<uint32_t>(i - start));
-      start = i + 1;
-    }
+  const char* data = chunk.data_.data();
+  const size_t size = chunk.data_.size();
+  // The buffer ends with '\n', so every search from a record start finds
+  // one.
+  for (size_t start = 0; start < size;) {
+    const char* newline = static_cast<const char*>(
+        std::memchr(data + start, '\n', size - start));
+    const size_t end = static_cast<size_t>(newline - data);
+    chunk.offsets_.push_back(static_cast<uint32_t>(start));
+    chunk.lengths_.push_back(static_cast<uint32_t>(end - start));
+    start = end + 1;
   }
   return chunk;
 }

@@ -1,9 +1,12 @@
 #include "json/tape_parser.h"
 
+#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -100,10 +103,28 @@ void DecodeEscapedSpan(std::string_view raw, Sink&& sink) {
   }
 }
 
+/// Bit 7 of each byte of the result is set for a zero byte of `w`, and
+/// the lowest set bit marks the first one: no borrow crosses a byte until
+/// a zero byte is reached.
+inline uint64_t ZeroBytes(uint64_t w) {
+  return (w - 0x0101010101010101ULL) & ~w & 0x8080808080808080ULL;
+}
+
+/// Like ZeroBytes, for the bytes of `w` below 0x20.
+inline uint64_t ControlBytes(uint64_t w) {
+  return (w - 0x2020202020202020ULL) & ~w & 0x8080808080808080ULL;
+}
+
+/// Integers with at most this many digits fit in an int64 and are
+/// accumulated directly; longer ones take the oracle's strtoll path.
+constexpr size_t kExactIntDigits = 18;
+
 /// The scanning core: the oracle parser's grammar and error conditions
 /// (json/parser.cc) transliterated to emit tape tokens instead of
 /// building a DOM. Any accept/reject divergence from the oracle is a bug
-/// caught by the differential suite.
+/// caught by the differential suite. The scan functions return false on
+/// the first error, which Fail records once, with the oracle's text and
+/// offset, for ScanDocument to return.
 class Scanner {
  public:
   Scanner(std::string_view input, const ParseOptions& options,
@@ -115,19 +136,21 @@ class Scanner {
 
   Status ScanDocument(size_t* consumed, bool allow_trailing) {
     SkipWhitespace();
-    CIAO_RETURN_IF_ERROR(ScanValue(0));
+    if (!ScanValue(0)) return std::move(error_);
     SkipWhitespace();
     if (consumed != nullptr) *consumed = pos_;
     if (!allow_trailing && pos_ != input_.size()) {
-      return Error("trailing characters after JSON value");
+      Fail("trailing characters after JSON value");
+      return std::move(error_);
     }
     return Status::OK();
   }
 
  private:
-  Status Error(const char* what) const {
-    return Status::InvalidArgument(
+  bool Fail(const char* what) {
+    error_ = Status::InvalidArgument(
         StrFormat("JSON parse error at offset %zu: %s", pos_, what));
+    return false;
   }
 
   bool AtEnd() const { return pos_ >= input_.size(); }
@@ -144,13 +167,14 @@ class Scanner {
     }
   }
 
-  Status Expect(char c) {
+  bool Expect(char c) {
     if (AtEnd() || input_[pos_] != c) {
-      return Status::InvalidArgument(StrFormat(
+      error_ = Status::InvalidArgument(StrFormat(
           "JSON parse error at offset %zu: expected '%c'", pos_, c));
+      return false;
     }
     ++pos_;
-    return Status::OK();
+    return true;
   }
 
   void PushToken(TapeKind kind, size_t begin, size_t end) {
@@ -161,9 +185,9 @@ class Scanner {
     tokens_->push_back(t);
   }
 
-  Status ScanValue(int depth) {
-    if (depth > options_.max_depth) return Error("max nesting depth exceeded");
-    if (AtEnd()) return Error("unexpected end of input");
+  bool ScanValue(int depth) {
+    if (depth > options_.max_depth) return Fail("max nesting depth exceeded");
+    if (AtEnd()) return Fail("unexpected end of input");
     switch (Peek()) {
       case '{':
         return ScanObject(depth);
@@ -182,19 +206,18 @@ class Scanner {
     }
   }
 
-  Status ScanLiteral(std::string_view literal, TapeKind kind,
-                     bool bool_value) {
+  bool ScanLiteral(std::string_view literal, TapeKind kind, bool bool_value) {
     if (input_.substr(pos_, literal.size()) != literal) {
-      return Error("invalid literal");
+      return Fail("invalid literal");
     }
     PushToken(kind, pos_, pos_ + literal.size());
     tokens_->back().bool_value = bool_value;
     pos_ += literal.size();
-    return Status::OK();
+    return true;
   }
 
-  Status ScanObject(int depth) {
-    CIAO_RETURN_IF_ERROR(Expect('{'));
+  bool ScanObject(int depth) {
+    if (!Expect('{')) return false;
     const size_t start_index = tokens_->size();
     PushToken(TapeKind::kObjectStart, pos_ - 1, pos_);
     SkipWhitespace();
@@ -204,13 +227,13 @@ class Scanner {
     }
     while (true) {
       SkipWhitespace();
-      CIAO_RETURN_IF_ERROR(ScanString());
+      if (!ScanString()) return false;
       SkipWhitespace();
-      CIAO_RETURN_IF_ERROR(Expect(':'));
+      if (!Expect(':')) return false;
       SkipWhitespace();
-      CIAO_RETURN_IF_ERROR(ScanValue(depth + 1));
+      if (!ScanValue(depth + 1)) return false;
       SkipWhitespace();
-      if (AtEnd()) return Error("unterminated object");
+      if (AtEnd()) return Fail("unterminated object");
       const char c = Peek();
       if (c == ',') {
         ++pos_;
@@ -220,13 +243,13 @@ class Scanner {
         ++pos_;
         break;
       }
-      return Error("expected ',' or '}' in object");
+      return Fail("expected ',' or '}' in object");
     }
     return CloseContainer(start_index, TapeKind::kObjectEnd);
   }
 
-  Status ScanArray(int depth) {
-    CIAO_RETURN_IF_ERROR(Expect('['));
+  bool ScanArray(int depth) {
+    if (!Expect('[')) return false;
     const size_t start_index = tokens_->size();
     PushToken(TapeKind::kArrayStart, pos_ - 1, pos_);
     SkipWhitespace();
@@ -236,9 +259,9 @@ class Scanner {
     }
     while (true) {
       SkipWhitespace();
-      CIAO_RETURN_IF_ERROR(ScanValue(depth + 1));
+      if (!ScanValue(depth + 1)) return false;
       SkipWhitespace();
-      if (AtEnd()) return Error("unterminated array");
+      if (AtEnd()) return Fail("unterminated array");
       const char c = Peek();
       if (c == ',') {
         ++pos_;
@@ -248,21 +271,21 @@ class Scanner {
         ++pos_;
         break;
       }
-      return Error("expected ',' or ']' in array");
+      return Fail("expected ',' or ']' in array");
     }
     return CloseContainer(start_index, TapeKind::kArrayEnd);
   }
 
-  Status CloseContainer(size_t start_index, TapeKind end_kind) {
+  bool CloseContainer(size_t start_index, TapeKind end_kind) {
     PushToken(end_kind, pos_ - 1, pos_);
     (*tokens_)[start_index].extent =
         static_cast<uint32_t>(tokens_->size() - start_index);
     (*tokens_)[start_index].end = static_cast<uint32_t>(pos_);
-    return Status::OK();
+    return true;
   }
 
-  Status ValidateHex4(uint32_t* cp) {
-    if (pos_ + 4 > input_.size()) return Error("truncated \\u escape");
+  bool ValidateHex4(uint32_t* cp) {
+    if (pos_ + 4 > input_.size()) return Fail("truncated \\u escape");
     uint32_t v = 0;
     for (int i = 0; i < 4; ++i) {
       const char c = input_[pos_ + static_cast<size_t>(i)];
@@ -274,30 +297,52 @@ class Scanner {
       } else if (c >= 'A' && c <= 'F') {
         v |= static_cast<uint32_t>(c - 'A' + 10);
       } else {
-        return Error("invalid hex digit in \\u escape");
+        return Fail("invalid hex digit in \\u escape");
       }
     }
     pos_ += 4;
     *cp = v;
-    return Status::OK();
+    return true;
+  }
+
+  /// Advances over string bytes that need no decision: each whole 8-byte
+  /// word with no '"', no '\\' and no byte below 0x20, then the bytes in
+  /// front of the first such byte of the next word, where the byte loop
+  /// in ScanString takes over. Loads stay inside the input. The first
+  /// byte of a word is its lowest (the wire and bit formats already
+  /// assume a little-endian host).
+  void SkipPlainStringBytes() {
+    while (pos_ + sizeof(uint64_t) <= input_.size()) {
+      uint64_t w;
+      std::memcpy(&w, input_.data() + pos_, sizeof(w));
+      const uint64_t special = ZeroBytes(w ^ 0x2222222222222222ULL) |
+                               ZeroBytes(w ^ 0x5C5C5C5C5C5C5C5CULL) |
+                               ControlBytes(w);
+      if (special != 0) {
+        pos_ += static_cast<size_t>(std::countr_zero(special)) / 8;
+        return;
+      }
+      pos_ += sizeof(uint64_t);
+    }
   }
 
   /// Validates one string and records its content span; nothing is
   /// decoded here — DecodedString does that lazily if ever asked.
-  Status ScanString() {
-    CIAO_RETURN_IF_ERROR(Expect('"'));
+  bool ScanString() {
+    if (!Expect('"')) return false;
     const size_t content_start = pos_;
     bool has_escapes = false;
     while (true) {
-      if (AtEnd()) return Error("unterminated string");
+      SkipPlainStringBytes();
+      if (AtEnd()) return Fail("unterminated string");
       const char c = input_[pos_++];
       if (c == '"') break;
       if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("raw control character in string");
+        return Fail("raw control character in string");
       }
       if (c != '\\') continue;
       has_escapes = true;
-      if (AtEnd()) return Error("dangling escape at end of string");
+      if (AtEnd()) return Fail("dangling escape at end of string");
       const char e = input_[pos_++];
       switch (e) {
         case '"':
@@ -311,52 +356,65 @@ class Scanner {
           break;
         case 'u': {
           uint32_t cp = 0;
-          CIAO_RETURN_IF_ERROR(ValidateHex4(&cp));
+          if (!ValidateHex4(&cp)) return false;
           if (cp >= 0xD800 && cp <= 0xDBFF) {
             if (pos_ + 1 >= input_.size() || input_[pos_] != '\\' ||
                 input_[pos_ + 1] != 'u') {
-              return Error("unpaired high surrogate");
+              return Fail("unpaired high surrogate");
             }
             pos_ += 2;
             uint32_t low = 0;
-            CIAO_RETURN_IF_ERROR(ValidateHex4(&low));
+            if (!ValidateHex4(&low)) return false;
             if (low < 0xDC00 || low > 0xDFFF) {
-              return Error("invalid low surrogate");
+              return Fail("invalid low surrogate");
             }
           } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return Error("unpaired low surrogate");
+            return Fail("unpaired low surrogate");
           }
           break;
         }
         default:
-          return Error("invalid escape character");
+          return Fail("invalid escape character");
       }
     }
     PushToken(TapeKind::kString, content_start, pos_ - 1);
     tokens_->back().has_escapes = has_escapes;
-    return Status::OK();
+    return true;
   }
 
-  Status ScanNumber() {
+  /// Checks the oracle's number grammar, then converts without the
+  /// oracle's calls where the result is provably the same: an integer of
+  /// up to kExactIntDigits digits is accumulated, and a double goes
+  /// through std::from_chars, which rounds correctly like strtod. Longer
+  /// integers, and any double from_chars reports out of range (overflow
+  /// and also underflow, which strtod accepts as a signed zero), take the
+  /// oracle's strtoll/strtod calls verbatim.
+  bool ScanNumber() {
     const size_t start = pos_;
     bool is_double = false;
-    if (!AtEnd() && Peek() == '-') ++pos_;
+    const bool negative = !AtEnd() && Peek() == '-';
+    if (negative) ++pos_;
     if (AtEnd() || Peek() < '0' || Peek() > '9') {
-      return Error("invalid number");
+      return Fail("invalid number");
     }
+    uint64_t magnitude = 0;  // wraps past 19 digits; then unused
     if (Peek() == '0') {
       ++pos_;
       if (!AtEnd() && Peek() >= '0' && Peek() <= '9') {
-        return Error("leading zero in number");
+        return Fail("leading zero in number");
       }
     } else {
-      while (!AtEnd() && Peek() >= '0' && Peek() <= '9') ++pos_;
+      while (!AtEnd() && Peek() >= '0' && Peek() <= '9') {
+        magnitude = magnitude * 10 + static_cast<uint64_t>(Peek() - '0');
+        ++pos_;
+      }
     }
+    const size_t int_digits = pos_ - start - (negative ? 1 : 0);
     if (!AtEnd() && Peek() == '.') {
       is_double = true;
       ++pos_;
       if (AtEnd() || Peek() < '0' || Peek() > '9') {
-        return Error("digit required after decimal point");
+        return Fail("digit required after decimal point");
       }
       while (!AtEnd() && Peek() >= '0' && Peek() <= '9') ++pos_;
     }
@@ -365,13 +423,30 @@ class Scanner {
       ++pos_;
       if (!AtEnd() && (Peek() == '+' || Peek() == '-')) ++pos_;
       if (AtEnd() || Peek() < '0' || Peek() > '9') {
-        return Error("digit required in exponent");
+        return Fail("digit required in exponent");
       }
       while (!AtEnd() && Peek() >= '0' && Peek() <= '9') ++pos_;
     }
-    // The scratch string keeps its capacity across records, so steady
-    // state pays a memcpy here, not an allocation. The conversion calls
-    // are the oracle's exactly (int64 overflow falls back to double).
+    if (!is_double && int_digits <= kExactIntDigits) {
+      const int64_t v = static_cast<int64_t>(magnitude);
+      PushToken(TapeKind::kInt, start, pos_);
+      tokens_->back().i64 = negative ? -v : v;
+      return true;
+    }
+    if (is_double) {
+      const char* first = input_.data() + start;
+      const char* last = input_.data() + pos_;
+      double d = 0.0;
+      const std::from_chars_result r = std::from_chars(first, last, d);
+      if (r.ec == std::errc() && r.ptr == last) {
+        PushToken(TapeKind::kDouble, start, pos_);
+        tokens_->back().f64 = d;
+        return true;
+      }
+    }
+    // The scratch string keeps its capacity across records, so this path
+    // pays a memcpy, not an allocation. The conversion calls are the
+    // oracle's exactly (int64 overflow falls back to double).
     number_scratch_->assign(input_.substr(start, pos_ - start));
     if (!is_double) {
       errno = 0;
@@ -380,7 +455,7 @@ class Scanner {
       if (errno == 0 && end == number_scratch_->c_str() + number_scratch_->size()) {
         PushToken(TapeKind::kInt, start, pos_);
         tokens_->back().i64 = static_cast<int64_t>(v);
-        return Status::OK();
+        return true;
       }
     }
     errno = 0;
@@ -388,11 +463,11 @@ class Scanner {
     const double d = std::strtod(number_scratch_->c_str(), &end);
     if (end != number_scratch_->c_str() + number_scratch_->size() ||
         !std::isfinite(d)) {
-      return Error("number out of range");
+      return Fail("number out of range");
     }
     PushToken(TapeKind::kDouble, start, pos_);
     tokens_->back().f64 = d;
-    return Status::OK();
+    return true;
   }
 
   std::string_view input_;
@@ -400,6 +475,7 @@ class Scanner {
   std::vector<TapeToken>* tokens_;
   std::string* number_scratch_;
   size_t pos_ = 0;
+  Status error_;
 };
 
 }  // namespace

@@ -85,7 +85,8 @@ class Tape {
 
   /// Tape index of the value for `key` in the object starting at
   /// `obj_index`, or npos when absent (or not an object). First match
-  /// wins on duplicate keys, mirroring Value::Find.
+  /// wins on duplicate keys, mirroring Value::Find. The loader walks each
+  /// record's keys once instead (BatchBuilder); tests navigate with this.
   size_t FindField(size_t obj_index, std::string_view key) const;
 
   /// Nested lookup from the root with a '.'-separated path, mirroring
@@ -107,8 +108,18 @@ class Tape {
 /// json::Parse it materializes nothing: strings stay raw spans decoded
 /// only on demand.
 ///
+/// Numbers: the grammar is checked first, then the text is converted to
+/// the oracle's value by the cheapest exact means. An integer of at most
+/// 18 digits always fits in an int64 and is accumulated digit by digit.
+/// A double goes through std::from_chars, which rounds correctly like
+/// strtod. Any other case takes the oracle's own calls: integers of 19 or
+/// more digits use strtoll (falling back to strtod on overflow), and a
+/// double that from_chars reports out of range goes to strtod, which
+/// rejects an overflow (1e400) and accepts an underflow as a signed zero
+/// (1e-400), as json::Parse does.
+///
 /// A TapeParser is cheap but stateful (it keeps a number-text scratch
-/// buffer); use one per thread.
+/// buffer for the strtoll/strtod cases); use one per thread.
 class TapeParser {
  public:
   explicit TapeParser(ParseOptions options = {}) : options_(options) {}

@@ -265,6 +265,37 @@ TEST(ChunkTest, NdjsonRejectsUnterminated) {
   EXPECT_TRUE(JsonChunk::FromNdjson("").ok());
 }
 
+TEST(ChunkTest, NdjsonFramingEdgeCases) {
+  struct Case {
+    std::string buffer;
+    std::vector<std::pair<uint32_t, uint32_t>> records;  // offset, length
+  };
+  const std::vector<Case> cases = {
+      {"", {}},
+      {"\n", {{0, 0}}},
+      {"\n\n", {{0, 0}, {1, 0}}},
+      {"a\r\n\rb\n", {{0, 2}, {3, 2}}},
+      {"\x80\xff\n\n{\"k\":\"\xc3\xa9\"}\n", {{0, 2}, {3, 0}, {4, 10}}},
+      {std::string(20, 'x') + "\n" + std::string(7, 'y') + "\n",
+       {{0, 20}, {21, 7}}},
+  };
+  for (const Case& c : cases) {
+    auto chunk = JsonChunk::FromNdjson(c.buffer);
+    ASSERT_TRUE(chunk.ok());
+    ASSERT_EQ(chunk->size(), c.records.size());
+    for (size_t i = 0; i < c.records.size(); ++i) {
+      const std::string_view record = chunk->Record(i);
+      EXPECT_EQ(record.data() - chunk->data().data(), c.records[i].first);
+      EXPECT_EQ(record.size(), c.records[i].second);
+    }
+  }
+  for (const std::string unterminated : {"x", "\n\r", "a\nb", "\n\x80"}) {
+    const auto chunk = JsonChunk::FromNdjson(unterminated);
+    ASSERT_FALSE(chunk.ok());
+    EXPECT_EQ(chunk.status().code(), StatusCode::kCorruption);
+  }
+}
+
 TEST(ChunkTest, SplitIntoChunks) {
   std::vector<std::string> records;
   for (int i = 0; i < 10; ++i) records.push_back("{\"i\":" + std::to_string(i) + "}");
